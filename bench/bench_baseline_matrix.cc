@@ -15,10 +15,9 @@
  * count, so `--threads 1` and `--threads 4` must emit byte-identical
  * documents — CI diffs them.
  *
- *   bench_baseline_matrix [--threads N] [--json] [--small]
+ *   bench_baseline_matrix [--threads N] [--json]
  *                         [--bench-out PATH]
  *
- * --small trims the matrix to one benchmark (the CI smoke size).
  * --bench-out writes a google-benchmark-shaped document whose
  * items_per_second is *simulated* inferences per simulated second
  * (1 / total_time_s) — deterministic, so it feeds
@@ -162,22 +161,19 @@ main(int argc, char **argv)
 {
     unsigned threads = 1;
     bool json = false;
-    bool small = false;
     const char *bench_out = nullptr;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             threads = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (!std::strcmp(argv[i], "--json")) {
             json = true;
-        } else if (!std::strcmp(argv[i], "--small")) {
-            small = true;
         } else if (!std::strcmp(argv[i], "--bench-out") &&
                    i + 1 < argc) {
             bench_out = argv[++i];
         } else {
             std::fprintf(stderr,
                          "usage: bench_baseline_matrix [--threads N] "
-                         "[--json] [--small] [--bench-out PATH]\n");
+                         "[--json] [--bench-out PATH]\n");
             return 2;
         }
     }
@@ -187,10 +183,7 @@ main(int argc, char **argv)
     const auto &all = exp::paperBenchmarks();
     exp::SweepGrid grid;
     grid.techs = {TechConfig::ModernStt};
-    grid.benchmarks = small
-                          ? std::vector<exp::Benchmark>{all[2]}
-                          : std::vector<exp::Benchmark>{all[0],
-                                                        all[2]};
+    grid.benchmarks = {all[0], all[2]};
     grid.schemes = {"mouse",     "mcu:bec",    "mcu:odab",
                     "mcu:clank", "mcu:oracle", "sonic"};
     grid.sources = {

@@ -10,9 +10,7 @@
  * `--threads 1` and `--threads 4` must emit byte-identical documents
  * — CI diffs them.
  *
- *   bench_scenario_matrix [--threads N] [--json] [--small]
- *
- * --small trims the matrix to one benchmark (the CI smoke size).
+ *   bench_scenario_matrix [--threads N] [--json]
  */
 
 #include <cstdio>
@@ -91,18 +89,15 @@ main(int argc, char **argv)
 {
     unsigned threads = 1;
     bool json = false;
-    bool small = false;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             threads = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (!std::strcmp(argv[i], "--json")) {
             json = true;
-        } else if (!std::strcmp(argv[i], "--small")) {
-            small = true;
         } else {
             std::fprintf(stderr,
                          "usage: bench_scenario_matrix [--threads N] "
-                         "[--json] [--small]\n");
+                         "[--json]\n");
             return 2;
         }
     }
@@ -110,10 +105,7 @@ main(int argc, char **argv)
     const auto &all = exp::paperBenchmarks();
     exp::SweepGrid grid;
     grid.techs = {TechConfig::ModernStt};
-    grid.benchmarks = small
-                          ? std::vector<exp::Benchmark>{all[1]}
-                          : std::vector<exp::Benchmark>{all[1],
-                                                        all[3]};
+    grid.benchmarks = {all[1], all[3]};
     grid.sources = {
         SourceSpec::constant(60e-6),
         SourceSpec::corpusTrace("solar-day-night"),

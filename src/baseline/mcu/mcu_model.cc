@@ -31,53 +31,6 @@ checkpointPerOp(const McuProgram &prog, const EhScheme &scheme)
     return cost;
 }
 
-/** Guard against sources that never deliver the requested energy. */
-constexpr double kChargeTimeLimit = 1.0e7;
-
-/**
- * Seconds to harvest @p energy starting at absolute time @p t0.
- * Constant sources are closed-form; everything else integrates the
- * source numerically over absolute time, like the MOUSE harvested
- * runners.
- */
-double
-chargeSeconds(const SourceSpec &spec, PowerSource &src, double eff,
-              double energy, double t0)
-{
-    if (energy <= 0.0) {
-        return 0.0;
-    }
-    if (spec.isConstant()) {
-        const double p = src.power(0.0) * eff;
-        if (p <= 0.0) {
-            mouse_fatal("MCU baseline: constant source delivers no "
-                        "power; the buffer can never charge");
-        }
-        return energy / p;
-    }
-    const double period = src.period();
-    const double maxStep =
-        std::clamp(period > 0.0 ? period / 16.0 : 0.25, 1e-5, 0.25);
-    double t = t0;
-    double gathered = 0.0;
-    while (gathered < energy) {
-        const double p = std::max(src.power(t), 0.0) * eff;
-        double dt = maxStep;
-        if (p > 0.0) {
-            dt = std::clamp((energy - gathered) / p, 1e-6, maxStep);
-        }
-        gathered += p * dt;
-        t += dt;
-        if (t - t0 > kChargeTimeLimit) {
-            mouse_fatal("MCU baseline: source delivered %.3g of the "
-                        "%.3g J needed within the charge-time limit; "
-                        "declaring non-termination",
-                        gathered, energy);
-        }
-    }
-    return t - t0;
-}
-
 } // namespace
 
 RunStats
@@ -104,6 +57,10 @@ mcuRunHarvested(const McuProgram &prog, const EhScheme &scheme,
     }
     const std::unique_ptr<PowerSource> src = harvest.source.make();
     const double eff = effectiveConverterEfficiency(harvest);
+    if (eff <= 0.0) {
+        mouse_fatal("MCU baseline: converter efficiency %.3g means "
+                    "the buffer can never charge", eff);
+    }
     const Farads cap =
         effectiveCapacitance(harvest, kDefaultCapacitance);
     const Platform *plat = harvest.platform.empty()
@@ -139,8 +96,7 @@ mcuRunHarvested(const McuProgram &prog, const EhScheme &scheme,
             // [0, vLow) must be gathered too.
             target += 0.5 * cap * kVLow * kVLow;
         }
-        const double charge =
-            chargeSeconds(harvest.source, *src, eff, target, now);
+        const double charge = src->timeToHarvest(target, now, eff);
         stats.chargingTime += charge;
         now += charge;
 

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -33,11 +34,18 @@ class PowerSource
     /** Instantaneous harvested power at absolute time @p t. */
     virtual Watts power(Seconds t) const = 0;
 
-    /** Repetition period of the output, or 0 when the output never
-     *  varies.  Numeric integrators bound their step to a fraction
-     *  of this so a long drought cannot alias over the charging
-     *  phases of a short-period source. */
-    virtual Seconds period() const { return 0.0; }
+    /** Exact (closed-form) seconds from absolute time @p t0 until
+     *  the source has delivered @p energy joules, every watt derated
+     *  by @p scale (a converter efficiency in (0, 1]). */
+    virtual Seconds timeToHarvest(Joules energy, Seconds t0,
+                                  double scale) const = 0;
+
+    /** First time after the argument that the output changes. */
+    virtual Seconds
+    nextChange(Seconds) const
+    {
+        return std::numeric_limits<Seconds>::infinity();
+    }
 };
 
 /** Constant output (the paper's model). */
@@ -50,6 +58,12 @@ class ConstantPowerSource : public PowerSource
     }
 
     Watts power(Seconds) const override { return p_; }
+
+    Seconds
+    timeToHarvest(Joules energy, Seconds, double scale) const override
+    {
+        return energy / (p_ * scale);
+    }
 
   private:
     Watts p_;
@@ -67,7 +81,8 @@ class ConstantPowerSource : public PowerSource
  *  the returned power — is bit-identical to the former linear scan
  *  for every input, including phases where accumulated floating-
  *  point subtraction error made the scan disagree with exact
- *  cumulative sums. */
+ *  cumulative sums.  timeToHarvest() is O(n) however long the
+ *  charge: one floor skips whole periods. */
 class TracePowerSource : public PowerSource
 {
   public:
@@ -86,7 +101,12 @@ class TracePowerSource : public PowerSource
         for (const Segment &s : segments_) {
             mouse_assert(s.duration > 0.0, "non-positive segment");
             period_ += s.duration;
+            ends_.push_back(period_);
+            periodEnergy_ += s.duration * s.power;
         }
+        // The whole-period skip divides by this.
+        mouse_assert(periodEnergy_ > 0.0,
+                     "trace delivers no energy per period");
         buildThresholds();
     }
 
@@ -101,7 +121,51 @@ class TracePowerSource : public PowerSource
         return segments_[idx].power;
     }
 
-    Seconds period() const override { return period_; }
+    Seconds
+    timeToHarvest(Joules energy, Seconds t0,
+                  double scale) const override
+    {
+        mouse_assert(scale > 0.0, "non-positive harvest scale");
+        if (energy <= 0.0) {
+            return 0.0;
+        }
+        // Every whole period delivers the same energy: skip all but
+        // the last one or two, then walk segments from t0.
+        const Joules perPeriod = periodEnergy_ * scale;
+        const double whole =
+            std::max(std::floor(energy / perPeriod) - 1.0, 0.0);
+        energy -= whole * perPeriod;
+        Seconds t = whole * period_;
+        const Seconds phase = std::fmod(t0, period_);
+        std::size_t i = static_cast<std::size_t>(
+            std::upper_bound(ends_.begin(), ends_.end(), phase) -
+            ends_.begin());
+        for (Seconds span = ends_[i] - phase;;
+             span = segments_[i].duration) {
+            const Watts p = segments_[i].power * scale;
+            if (p * span >= energy) {
+                return t + energy / p;
+            }
+            energy -= p * span;
+            t += span;
+            i = (i + 1) % segments_.size();
+        }
+    }
+
+    Seconds
+    nextChange(Seconds t) const override
+    {
+        // A boundary within rounding of t counts as crossed, so a
+        // call at the returned time always moves on.
+        const Seconds phase = std::fmod(t, period_);
+        const auto it =
+            std::upper_bound(ends_.begin(), ends_.end(),
+                             phase + 1e-15 * std::max(t, period_));
+        return t - phase +
+               (it == ends_.end() ? period_ + ends_.front() : *it);
+    }
+
+    Seconds period() const { return period_; }
 
     const std::vector<Segment> &segments() const { return segments_; }
 
@@ -181,7 +245,10 @@ class TracePowerSource : public PowerSource
 
     std::vector<Segment> segments_;
     std::vector<Seconds> thresholds_;
+    /** Cumulative segment end phases; back() == period_. */
+    std::vector<Seconds> ends_;
     Seconds period_ = 0.0;
+    Joules periodEnergy_ = 0.0;
 };
 
 } // namespace mouse

@@ -9,19 +9,6 @@ namespace mouse
 namespace
 {
 
-/** Duration-weighted mean of a segment list (0 when empty). */
-Watts
-segmentsMean(const std::vector<TracePowerSource::Segment> &segments)
-{
-    Seconds total = 0.0;
-    Joules energy = 0.0;
-    for (const TracePowerSource::Segment &s : segments) {
-        total += s.duration;
-        energy += s.duration * s.power;
-    }
-    return total > 0.0 ? energy / total : 0.0;
-}
-
 bool
 segmentsValid(
     const std::vector<TracePowerSource::Segment> &segments,
@@ -33,7 +20,7 @@ segmentsValid(
         }
         return false;
     }
-    bool anyPower = false;
+    Joules energy = 0.0;
     for (std::size_t i = 0; i < segments.size(); ++i) {
         if (segments[i].duration <= 0.0) {
             if (why != nullptr) {
@@ -49,9 +36,10 @@ segmentsValid(
             }
             return false;
         }
-        anyPower = anyPower || segments[i].power > 0.0;
+        energy += segments[i].duration * segments[i].power;
     }
-    if (!anyPower) {
+    // TracePowerSource needs positive energy per period.
+    if (!(energy > 0.0)) {
         if (why != nullptr) {
             *why = "trace never delivers power, so the buffer "
                    "cannot charge";
@@ -132,7 +120,7 @@ SourceSpec::meanPower() const
     case SourceKind::kConstant:
         return constantPower;
     case SourceKind::kTrace:
-        return segmentsMean(segments);
+        return PowerTrace{traceName, segments}.meanPower();
     case SourceKind::kCorpus: {
         const PowerTrace *doc = ::mouse::corpusTrace(corpus);
         return doc != nullptr ? doc->meanPower() : 0.0;

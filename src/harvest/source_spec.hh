@@ -76,8 +76,6 @@ struct SourceSpec
     static SourceSpec corpusTrace(std::string name);
     static SourceSpec square(Seconds period, double duty, Watts peak);
 
-    bool isConstant() const { return kind == SourceKind::kConstant; }
-
     /** Stable provenance label for result JSON and sweep tables:
      *  "constant", the trace/corpus name, or "square". */
     std::string name() const;
@@ -90,7 +88,7 @@ struct SourceSpec
     /**
      * Whether make() can materialize this spec: positive constant
      * power; non-empty segments with positive durations,
-     * non-negative powers and at least one positive power; a known
+     * non-negative powers and positive energy per period; a known
      * corpus name; square period > 0, duty in (0,1), peak > 0.
      * On failure fills @p why (when given) with one sentence.
      */

@@ -218,24 +218,52 @@ class SimProbe
     }
 
     /**
-     * Synthesize waveform samples for an analytic constant-power
-     * recharge from @p v0 to @p v1: v(t) = sqrt(v0^2 + 2 P t / C).
+     * Synthesize closed-form waveform samples for a recharge of
+     * @p dt from @p v0 to @p v1: v(t) = sqrt(v^2 + 2 P t / C) inside
+     * each constant-power piece of @p src, sampled on an even grid
+     * and at each segment boundary the recharge crosses.  Both are
+     * capped at 256; past 256 boundaries only the end is sampled.
      */
     void
     sampleRecharge(Seconds t0, Seconds dt, Volts v0, Volts v1,
-                   Farads c, Watts p)
+                   Farads c, const PowerSource &src)
     {
         if (!wantsWaveform() || dt <= 0.0) {
-            maybeSample(t0 + dt, v1, p);
+            maybeSample(t0 + dt, v1, src.power(t0 + dt));
             return;
         }
         const double steps = std::clamp(
             std::floor(dt / cfg_.waveformPeriod), 1.0, 256.0);
         const Seconds step = dt / steps;
+        // The constant-power piece [from, to) the grid is in, with
+        // its start voltage and its power (read clear of the ends).
+        Seconds from = 0.0;
+        Seconds to = src.nextChange(t0) - t0;
+        Volts vFrom = v0;
+        const auto pieceWatts = [&] {
+            return src.power(t0 + (from + std::min(to, dt)) / 2.0);
+        };
+        Watts p = pieceWatts();
+        const auto volts = [&](Seconds at) {
+            return std::min(
+                std::sqrt(vFrom * vFrom + 2.0 * p * (at - from) / c),
+                v1);
+        };
+        unsigned crossed = 0;
         for (double k = 1.0; k <= steps; k += 1.0) {
             const Seconds at = step * k;
-            const Volts v = std::sqrt(v0 * v0 + 2.0 * p * at / c);
-            maybeSample(t0 + at, std::min(v, v1), p);
+            while (to < at) {
+                if (++crossed > 256) {
+                    maybeSample(t0 + dt, v1, src.power(t0 + dt));
+                    return;
+                }
+                vFrom = volts(to);
+                from = to;
+                to = src.nextChange(t0 + from) - t0;
+                p = pieceWatts();
+                maybeSample(t0 + from, vFrom, p);
+            }
+            maybeSample(t0 + at, volts(at), p);
         }
     }
 
@@ -366,11 +394,6 @@ struct HarvestEnv
           converter(effectiveConverterEfficiency(cfg)),
           sourceOwner(cfg.source.make()),
           source(*sourceOwner),
-          varying(!cfg.source.isConstant()),
-          maxStep(source.period() > 0.0
-                      ? std::clamp(source.period() / 16.0, 1e-5,
-                                   0.25)
-                      : 0.25),
           vLow(energy.config().capVoltageLow),
           vHigh(energy.config().capVoltageHigh),
           probe(probe)
@@ -388,44 +411,15 @@ struct HarvestEnv
     void
     rechargeTo(Volts v, RunStats &stats)
     {
-        if (!varying) {
-            const Watts p = source.power(now);
-            const Seconds dt = cap.timeToCharge(v, p);
-            MOUSE_OBS_HOOK(probe,
-                           probe->sampleRecharge(now, dt,
-                                                 cap.voltage(), v,
-                                                 cap.capacitance(),
-                                                 p));
-            stats.chargingTime += dt;
-            now += dt;
-            cap.setVoltage(v);
-            MOUSE_OBS_HOOK(probe, probe->rechargeDone(now));
-            return;
-        }
-        // Time-varying source: integrate numerically.  Step size is
-        // a fraction of the remaining charge estimate, bounded below
-        // so fast transients are still resolved and above by a
-        // fraction of the source period — a drought-phase estimate
-        // is near-infinite, and an unbounded step would alias right
-        // over the charging phases of a short-period source.
-        Seconds charged = 0.0;
-        while (cap.voltage() < v) {
-            const Watts p = std::max(source.power(now), 1e-12);
-            const Seconds estimate = cap.timeToCharge(v, p);
-            const Seconds dt =
-                std::clamp(estimate / 64.0, 1e-5, maxStep);
-            cap.charge(p, std::min(dt, estimate));
-            now += std::min(dt, estimate);
-            charged += std::min(dt, estimate);
-            MOUSE_OBS_HOOK(probe,
-                           probe->maybeSample(now, cap.voltage(),
-                                              p));
-            if (charged > 1e7) {
-                mouse_fatal("source never refills the buffer "
-                            "(charged for >115 days of sim time)");
-            }
-        }
-        stats.chargingTime += charged;
+        const Seconds dt =
+            source.timeToHarvest(cap.energyTo(v), now, 1.0);
+        MOUSE_OBS_HOOK(probe,
+                       probe->sampleRecharge(now, dt, cap.voltage(),
+                                             v, cap.capacitance(),
+                                             source));
+        stats.chargingTime += dt;
+        now += dt;
+        cap.setVoltage(v);
         MOUSE_OBS_HOOK(probe, probe->rechargeDone(now));
     }
 
@@ -446,9 +440,6 @@ struct HarvestEnv
     SwitchedCapConverter converter;
     std::unique_ptr<PowerSource> sourceOwner;
     const PowerSource &source;
-    bool varying;
-    /** Integration step cap (period-resolving for trace sources). */
-    Seconds maxStep;
     Volts vLow;
     Volts vHigh;
     SimProbe *probe;

@@ -46,9 +46,8 @@ struct HarvestConfig
     /**
      * Power environment: constant (the paper's model, default
      * 60 uW) | embedded trace | named corpus trace | square wave.
-     * Constant sources recharge analytically; everything else is
-     * integrated numerically over the run's absolute time.  See
-     * docs/HARVESTING.md.
+     * Every kind recharges in closed form over the run's absolute
+     * time (PowerSource::timeToHarvest); see docs/HARVESTING.md.
      */
     SourceSpec source;
     /**

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/rng.hh"
 #include "harvest/capacitor.hh"
 #include "harvest/converter.hh"
@@ -52,10 +57,10 @@ TEST(Capacitor, PaperBurstEnergies)
 TEST(Capacitor, ChargeAndTimeToChargeAgree)
 {
     Capacitor cap(10e-6, 0.0);
-    const Seconds t = cap.timeToCharge(0.12, 60e-6);
+    const Seconds t = cap.energyTo(0.12) / 60e-6;
     cap.charge(60e-6, t);
     EXPECT_NEAR(cap.voltage(), 0.12, 1e-9);
-    EXPECT_EQ(cap.timeToCharge(0.10, 60e-6), 0.0);
+    EXPECT_EQ(cap.energyTo(0.10), 0.0);
 }
 
 TEST(Capacitor, DrawReducesVoltageAndClampsAtZero)
@@ -127,6 +132,169 @@ TEST(PowerSource, BinarySearchMatchesReferenceScanBitForBit)
             ASSERT_EQ(src.power(t), scanPower(t)) << "t=" << t;
         }
     }
+}
+
+/**
+ * Reference for TracePowerSource::timeToHarvest: march time forward
+ * in fixed steps of at most @p h, cutting each step at the next
+ * segment boundary so a step sees one power, and solve only the last
+ * step.  No whole-period skip and no per-segment closed form.
+ */
+Seconds
+steppedTimeToHarvest(const std::vector<TracePowerSource::Segment> &segs,
+                     Joules energy, Seconds t0, double scale,
+                     Seconds h)
+{
+    Seconds period = 0.0;
+    for (const auto &s : segs) {
+        period += s.duration;
+    }
+    std::size_t i = 0;
+    Seconds into = std::fmod(t0, period);
+    while (into >= segs[i].duration) {
+        into -= segs[i].duration;
+        i = (i + 1) % segs.size();
+    }
+    Seconds rest = segs[i].duration - into;
+    Seconds t = 0.0;
+    Joules got = 0.0;
+    for (;;) {
+        const Seconds dt = std::min(h, rest);
+        const Watts p = segs[i].power * scale;
+        if (got + p * dt >= energy) {
+            return t + (energy - got) / p;
+        }
+        got += p * dt;
+        t += dt;
+        rest -= dt;
+        if (rest <= 0.0) {
+            i = (i + 1) % segs.size();
+            rest = segs[i].duration;
+        }
+    }
+}
+
+TEST(PowerSource, TimeToHarvestMatchesSteppedReference)
+{
+    std::vector<std::vector<TracePowerSource::Segment>> sources = {
+        TracePowerSource::square(0.01, 0.3, 200e-6).segments()};
+    for (const std::string &name : corpusTraceNames()) {
+        sources.push_back(corpusTrace(name)->segments);
+    }
+    Rng rng(2024);
+    for (const auto &segs : sources) {
+        const TracePowerSource src(segs);
+        const Seconds period = src.period();
+        Joules perPeriod = 0.0;
+        Joules smallest = 1e30;
+        std::vector<Seconds> starts;
+        Seconds edge = 0.0;
+        for (const auto &s : segs) {
+            perPeriod += s.duration * s.power;
+            if (s.power > 0.0) {
+                smallest = std::min(smallest, s.duration * s.power);
+            }
+            starts.push_back(edge);  // exactly on a boundary
+            starts.push_back(7.0 * period + edge);
+            edge += s.duration;
+        }
+        for (int k = 0; k < 4; ++k) {
+            starts.push_back(rng.uniform() * 3.0 * period);
+        }
+        starts.push_back(1e4 * period + rng.uniform() * period);
+        starts.push_back(3.7e5 * period);
+        for (const double scale : {1.0, 0.85}) {
+            const std::vector<Joules> energies = {
+                1e-3 * smallest, 0.37 * smallest, 0.9 * perPeriod,
+                (1.0 + rng.uniform()) * perPeriod, 3.3 * perPeriod,
+                47.5 * perPeriod};
+            for (const Seconds t0 : starts) {
+                for (const Joules e : energies) {
+                    const Joules energy = e * scale;
+                    const Seconds want = steppedTimeToHarvest(
+                        segs, energy, t0, scale, period / 512.0);
+                    ASSERT_NEAR(src.timeToHarvest(energy, t0, scale),
+                                want, 1e-3 * want)
+                        << "t0=" << t0 << " energy=" << energy
+                        << " scale=" << scale;
+                }
+            }
+        }
+    }
+}
+
+TEST(PowerSource, SquareTimeToHarvestMatchesBruteForce)
+{
+    // Plain fixed 100 ns steps with no boundary handling, as a check
+    // that does not share the reference's segment walk.
+    const TracePowerSource src =
+        TracePowerSource::square(0.01, 0.3, 200e-6);
+    const Joules perPeriod = 0.003 * 200e-6;
+    const Seconds h = 1e-7;
+    for (const Seconds t0 : {0.0, 0.0042, 0.0123}) {
+        for (const double periods : {0.37, 1.7, 2.45}) {
+            const Joules energy = periods * perPeriod;
+            Joules got = 0.0;
+            Seconds t = t0;
+            while (got + src.power(t) * h < energy) {
+                got += src.power(t) * h;
+                t += h;
+            }
+            const Seconds want = t - t0 + (energy - got) / src.power(t);
+            EXPECT_NEAR(src.timeToHarvest(energy, t0, 1.0), want,
+                        1e-3 * want)
+                << "t0=" << t0 << " periods=" << periods;
+        }
+    }
+}
+
+TEST(PowerSource, NextChangeWalksEverySegmentBoundary)
+{
+    // Re-querying at the returned time must move on by one segment
+    // even where rounding lands it a hair short of the boundary.
+    const TracePowerSource src =
+        TracePowerSource::square(0.01, 0.3, 200e-6);
+    for (const Seconds start : {0.0, 0.0029, 0.003, 1234.5678}) {
+        Seconds prev = src.nextChange(start);
+        for (int k = 0; k < 2000; ++k) {
+            const Seconds next = src.nextChange(prev);
+            const Seconds gap = next - prev;
+            ASSERT_TRUE(std::fabs(gap - 0.003) < 1e-9 ||
+                        std::fabs(gap - 0.007) < 1e-9)
+                << "start=" << start << " at=" << prev
+                << " gap=" << gap;
+            ASSERT_NE(src.power(prev + gap / 2),
+                      src.power(next + 1e-6));
+            prev = next;
+        }
+    }
+}
+
+TEST(PowerSource, ConstantTimeToHarvestIsTheOldClosedForm)
+{
+    // Bit for bit what the MOUSE recharge and the MCU model computed
+    // for constant sources before timeToHarvest existed.
+    Rng rng(99);
+    for (int i = 0; i < 200; ++i) {
+        const Watts p = 1e-6 + rng.uniform() * 5e-3;
+        const ConstantPowerSource src(p);
+        const Farads c = 1e-9 + rng.uniform() * 100e-6;
+        const Volts v0 = rng.uniform() * 0.3;
+        const Volts v1 = v0 + rng.uniform() * 0.3;
+        const Capacitor cap(c, v0);
+        ASSERT_EQ(src.timeToHarvest(cap.energyTo(v1),
+                                    rng.uniform() * 1e3, 1.0),
+                  0.5 * c * (v1 * v1 - v0 * v0) / p);
+        const Joules e = rng.uniform() * 1e-3;
+        const double eff = 0.5 + 0.5 * rng.uniform();
+        ASSERT_EQ(src.timeToHarvest(e, 0.0, eff), e / (p * eff));
+    }
+}
+
+TEST(PowerSource, TraceWithoutEnergyIsRejectedAtConstruction)
+{
+    EXPECT_DEATH(TracePowerSource({{1.0, 0.0}, {2.0, 0.0}}),
+                 "no energy");
 }
 
 TEST(PowerTrace, JsonRoundTripPreservesEverySegmentBit)
@@ -217,7 +385,7 @@ TEST(Platform, CatalogNamesDatasheetPresets)
 TEST(SourceSpec, DefaultIsThePaperConstantModel)
 {
     const SourceSpec def;
-    EXPECT_TRUE(def.isConstant());
+    EXPECT_EQ(def.kind, SourceKind::kConstant);
     EXPECT_TRUE(def.valid());
     EXPECT_EQ(def.constantPower, 60e-6);
     EXPECT_EQ(def.name(), "constant");
@@ -253,18 +421,24 @@ TEST(SourceSpec, MakeMaterializesTheDescribedSource)
 {
     const auto constant = SourceSpec::constant(5e-3).make();
     EXPECT_EQ(constant->power(123.0), 5e-3);
-    EXPECT_EQ(constant->period(), 0.0);
+    EXPECT_EQ(constant->nextChange(123.0),
+              std::numeric_limits<Seconds>::infinity());
 
     const auto square = SourceSpec::square(0.01, 0.3, 200e-6).make();
     EXPECT_EQ(square->power(0.001), 200e-6);
     EXPECT_EQ(square->power(0.005), 0.0);
     // The period is the sum of the on and off segments, not the
     // requested value bit-for-bit.
-    EXPECT_DOUBLE_EQ(square->period(), 0.01);
+    const auto *wave =
+        dynamic_cast<const TracePowerSource *>(square.get());
+    ASSERT_NE(wave, nullptr);
+    EXPECT_DOUBLE_EQ(wave->period(), 0.01);
 
     const auto corpus = SourceSpec::corpusTrace("rf-bursty").make();
-    EXPECT_EQ(corpus->period(),
-              corpusTrace("rf-bursty")->period());
+    const auto *trace =
+        dynamic_cast<const TracePowerSource *>(corpus.get());
+    ASSERT_NE(trace, nullptr);
+    EXPECT_EQ(trace->period(), corpusTrace("rf-bursty")->period());
 }
 
 TEST(Converter, PicksLowestSufficientRail)

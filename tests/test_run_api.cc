@@ -208,6 +208,10 @@ TEST(RunApi, InvalidHarvestSourceIsRejected)
         SourceSpec::trace(std::vector<TracePowerSource::Segment>{});
     expectRejected(acc, req, RunError::kHarvestSourceInvalid);
 
+    // A trace that never delivers power could never recharge.
+    req.harvest.source = SourceSpec::trace({{1.0, 0.0}, {2.0, 0.0}});
+    expectRejected(acc, req, RunError::kHarvestSourceInvalid);
+
     req.harvest.source = SourceSpec::corpusTrace("no-such-trace");
     expectRejected(acc, req, RunError::kHarvestSourceInvalid);
 
@@ -351,7 +355,7 @@ TEST(RunApi, BuilderPlatformComposesWithSources)
     EXPECT_FALSE(req.schedule);
     EXPECT_EQ(req.harvest.platform, "nvp");
     // Default source survives a platform-only selection.
-    EXPECT_TRUE(req.harvest.source.isConstant());
+    EXPECT_EQ(req.harvest.source.kind, SourceKind::kConstant);
 
     // Order does not matter: source then platform keeps both.
     const RunRequest both =

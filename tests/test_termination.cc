@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "compile/builder.hh"
 #include "ml/mapping.hh"
+#include "obs/telemetry.hh"
 #include "sim/termination.hh"
 
 namespace mouse
@@ -154,6 +157,66 @@ TEST(TimeVaryingSource, SolarTraceChargesThroughNight)
         runHarvestedTrace(trace, energy, min_cfg);
     EXPECT_GE(stats.totalTime(), at_max.totalTime());
     EXPECT_LE(stats.totalTime(), at_min.totalTime());
+}
+
+TEST(TimeVaryingSource, SquareWaveformSamplesOutagesAndNeverFalls)
+{
+    // A weak square source: most recharges wait out a 7 ms drought.
+    // The waveform must show each recharge from inside the outage —
+    // closed-form samples, including one at each segment boundary
+    // the recharge crosses — and the voltage must never fall while
+    // the buffer charges.
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
+    const EnergyModel energy(lib);
+    Trace trace;
+    trace.append(Opcode::kGateNand2, 64, 64, 2000000);
+    HarvestConfig harvest;
+    harvest.source = SourceSpec::square(0.01, 0.3, 1e-6);
+    harvest.capacitanceOverride = 1e-6;
+    obs::TraceConfig cfg;
+    cfg.events = true;
+    cfg.waveform = true;
+    cfg.waveformPeriod = 1e-4;
+    obs::Telemetry telem = obs::Telemetry::make(cfg);
+    const RunStats stats =
+        runHarvestedTrace(trace, energy, harvest, &telem);
+    ASSERT_GT(stats.outages, 2u);
+
+    const auto &wave = telem.sink->waveform();
+    std::size_t outages = 0;
+    std::size_t atBoundary = 0;
+    for (const obs::TraceEvent &e : telem.sink->events()) {
+        if (e.name != "outage") {
+            continue;
+        }
+        ++outages;
+        const double from = e.tsUs * 1e-6;
+        const double to = (e.tsUs + e.durUs) * 1e-6;
+        std::size_t inside = 0;
+        double last = 0.0;
+        for (const obs::WaveformSample &w : wave) {
+            // Strictly inside: the end-of-recharge sample alone
+            // does not count.
+            if (w.timeS <= from + 1e-9 || w.timeS >= to - 1e-9) {
+                continue;
+            }
+            ++inside;
+            EXPECT_GE(w.capVoltage, last) << "t=" << w.timeS;
+            last = w.capVoltage;
+            // Off a boundary, the sample carries that phase's power.
+            const double phase = std::fmod(w.timeS, 0.01);
+            if (std::min(std::fabs(phase - 0.003),
+                         std::min(phase, 0.01 - phase)) < 1e-9) {
+                ++atBoundary;
+            } else {
+                EXPECT_EQ(w.harvestPower, phase < 0.003 ? 1e-6 : 0.0)
+                    << "t=" << w.timeS;
+            }
+        }
+        EXPECT_GT(inside, 0u) << "outage at " << from;
+    }
+    EXPECT_EQ(outages, stats.outages);
+    EXPECT_GT(atBoundary, 0u);
 }
 
 TEST(TimeVaryingSource, StrongSourceSustainsExecution)
