@@ -30,22 +30,16 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "exp/names.hh"
 #include "exp/runner.hh"
 #include "inject/mcu_campaign.hh"
 
 using namespace mouse;
+using json::num;
 
 namespace
 {
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 /** Deterministic matrix document: schema + axes + per-point stats +
  *  conformance campaigns, no wall_seconds / threads. */
@@ -60,28 +54,28 @@ matrixJson(const exp::SweepGrid &grid, const exp::SweepResult &res,
         if (i > 0) {
             j += ",";
         }
-        j += "\"" + jsonEscape(grid.benchmarks[i].name) + "\"";
+        j += "\"" + json::escape(grid.benchmarks[i].name) + "\"";
     }
     j += "],\"schemes\":[";
     for (std::size_t i = 0; i < grid.schemes.size(); ++i) {
         if (i > 0) {
             j += ",";
         }
-        j += "\"" + jsonEscape(grid.schemes[i]) + "\"";
+        j += "\"" + json::escape(grid.schemes[i]) + "\"";
     }
     j += "],\"sources\":[";
     for (std::size_t i = 0; i < grid.sources.size(); ++i) {
         if (i > 0) {
             j += ",";
         }
-        j += "\"" + jsonEscape(grid.sources[i].name()) + "\"";
+        j += "\"" + json::escape(grid.sources[i].name()) + "\"";
     }
     j += "],\"platforms\":[";
     for (std::size_t i = 0; i < grid.platforms.size(); ++i) {
         if (i > 0) {
             j += ",";
         }
-        j += "\"" + jsonEscape(grid.platforms[i]) + "\"";
+        j += "\"" + json::escape(grid.platforms[i]) + "\"";
     }
     j += "]},\"points\":[";
     for (std::size_t i = 0; i < res.points.size(); ++i) {
@@ -90,12 +84,12 @@ matrixJson(const exp::SweepGrid &grid, const exp::SweepResult &res,
             j += ",";
         }
         j += "{\"index\":" + std::to_string(r.meta.index);
-        j += ",\"benchmark\":\"" + jsonEscape(r.meta.benchmark) +
+        j += ",\"benchmark\":\"" + json::escape(r.meta.benchmark) +
              "\"";
-        j += ",\"system\":\"" + jsonEscape(r.meta.system) + "\"";
-        j += ",\"scheme\":\"" + jsonEscape(r.meta.scheme) + "\"";
-        j += ",\"source\":\"" + jsonEscape(r.meta.source) + "\"";
-        j += ",\"platform\":\"" + jsonEscape(r.meta.platform) + "\"";
+        j += ",\"system\":\"" + json::escape(r.meta.system) + "\"";
+        j += ",\"scheme\":\"" + json::escape(r.meta.scheme) + "\"";
+        j += ",\"source\":\"" + json::escape(r.meta.source) + "\"";
+        j += ",\"platform\":\"" + json::escape(r.meta.platform) + "\"";
         j += ",\"power_w\":" + num(r.meta.power);
         j += ",\"seed\":" + std::to_string(r.meta.seed);
         j += ",\"stats\":" + toJson(r.stats);
@@ -143,7 +137,7 @@ benchReport(const exp::SweepResult &res)
                            ? r.meta.system
                            : r.meta.system + "-" + r.meta.scheme) +
             "/" + r.meta.source;
-        j += "{\"name\":\"" + jsonEscape(name) + "\"";
+        j += "{\"name\":\"" + json::escape(name) + "\"";
         j += ",\"run_type\":\"iteration\",\"iterations\":1";
         j += ",\"time_unit\":\"ns\"";
         j += ",\"items_per_second\":" +

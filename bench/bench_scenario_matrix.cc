@@ -18,21 +18,15 @@
 #include <cstring>
 #include <string>
 
+#include "common/json.hh"
 #include "exp/names.hh"
 #include "exp/runner.hh"
 
 using namespace mouse;
+using json::num;
 
 namespace
 {
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 /** Deterministic matrix document: schema + axes + per-point stats,
  *  no wall_seconds / threads (unlike SweepResult::toJson). */
@@ -46,21 +40,21 @@ matrixJson(const exp::SweepGrid &grid, const exp::SweepResult &res)
         if (i > 0) {
             j += ",";
         }
-        j += "\"" + jsonEscape(grid.benchmarks[i].name) + "\"";
+        j += "\"" + json::escape(grid.benchmarks[i].name) + "\"";
     }
     j += "],\"sources\":[";
     for (std::size_t i = 0; i < grid.sources.size(); ++i) {
         if (i > 0) {
             j += ",";
         }
-        j += "\"" + jsonEscape(grid.sources[i].name()) + "\"";
+        j += "\"" + json::escape(grid.sources[i].name()) + "\"";
     }
     j += "],\"platforms\":[";
     for (std::size_t i = 0; i < grid.platforms.size(); ++i) {
         if (i > 0) {
             j += ",";
         }
-        j += "\"" + jsonEscape(grid.platforms[i]) + "\"";
+        j += "\"" + json::escape(grid.platforms[i]) + "\"";
     }
     j += "]},\"points\":[";
     for (std::size_t i = 0; i < res.points.size(); ++i) {
@@ -69,10 +63,10 @@ matrixJson(const exp::SweepGrid &grid, const exp::SweepResult &res)
             j += ",";
         }
         j += "{\"index\":" + std::to_string(r.meta.index);
-        j += ",\"benchmark\":\"" + jsonEscape(r.meta.benchmark) +
+        j += ",\"benchmark\":\"" + json::escape(r.meta.benchmark) +
              "\"";
-        j += ",\"source\":\"" + jsonEscape(r.meta.source) + "\"";
-        j += ",\"platform\":\"" + jsonEscape(r.meta.platform) + "\"";
+        j += ",\"source\":\"" + json::escape(r.meta.source) + "\"";
+        j += ",\"platform\":\"" + json::escape(r.meta.platform) + "\"";
         j += ",\"power_w\":" + num(r.meta.power);
         j += ",\"seed\":" + std::to_string(r.meta.seed);
         j += ",\"stats\":" + toJson(r.stats);

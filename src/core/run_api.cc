@@ -1,35 +1,13 @@
 #include "run_api.hh"
 
-#include <cstdio>
-
 #include "baseline/selector.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mouse
 {
 
-namespace
-{
-
-/** Shortest-round-trip double formatting for machine consumers. */
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-num(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-} // namespace
+using json::num;
 
 const char *
 runErrorName(RunError e)
@@ -241,38 +219,6 @@ RunRequestBuilder::build() const
 }
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 toJson(const RunStats &stats)
 {
     std::string j = "{";
@@ -307,18 +253,18 @@ RunResult::toJson() const
     }
     j += "\"point\":{";
     j += "\"index\":" + num(static_cast<std::uint64_t>(meta.index));
-    j += ",\"tech\":\"" + jsonEscape(meta.tech) + "\"";
-    j += ",\"benchmark\":\"" + jsonEscape(meta.benchmark) + "\"";
-    j += ",\"system\":\"" + jsonEscape(meta.system) + "\"";
-    j += ",\"scheme\":\"" + jsonEscape(meta.scheme) + "\"";
+    j += ",\"tech\":\"" + json::escape(meta.tech) + "\"";
+    j += ",\"benchmark\":\"" + json::escape(meta.benchmark) + "\"";
+    j += ",\"system\":\"" + json::escape(meta.system) + "\"";
+    j += ",\"scheme\":\"" + json::escape(meta.scheme) + "\"";
     j += ",\"power_w\":" + num(meta.power);
-    j += ",\"source\":\"" + jsonEscape(meta.source) + "\"";
-    j += ",\"platform\":\"" + jsonEscape(meta.platform) + "\"";
+    j += ",\"source\":\"" + json::escape(meta.source) + "\"";
+    j += ",\"platform\":\"" + json::escape(meta.platform) + "\"";
     j += ",\"seed\":" + num(meta.seed);
     j += ",\"checkpoint_period\":" +
          num(static_cast<std::uint64_t>(meta.checkpointPeriod));
     j += ",\"margin\":" + num(meta.margin);
-    j += ",\"label\":\"" + jsonEscape(meta.label) + "\"";
+    j += ",\"label\":\"" + json::escape(meta.label) + "\"";
     j += "},";
     j += "\"wall_seconds\":" + num(wallSeconds);
     if (serve.present) {

@@ -293,9 +293,6 @@ using schema::kResultSchemaVersion;
 /** JSON object for a RunStats (used by RunResult::toJson). */
 std::string toJson(const RunStats &stats);
 
-/** Minimal JSON string escaping (quotes, backslashes, control). */
-std::string jsonEscape(const std::string &s);
-
 } // namespace mouse
 
 #endif // MOUSE_CORE_RUN_API_HH

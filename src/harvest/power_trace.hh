@@ -5,11 +5,11 @@
  * A power trace is the wire form of a TracePowerSource: a named list
  * of (duration_s, power_w) segments, versioned by "trace_schema" so
  * old files fail loudly instead of silently misparsing.  The same
- * parser backs `mouse_cli --power-trace FILE` (with line-numbered
+ * parser backs `mouse_cli --power-trace FILE` (with line:col
  * errors for up-front validation) and the embedded corpus under
  * src/harvest/traces/, which round-trips through it at load time.
  *
- * Format (trace_schema 1, unknown keys tolerated):
+ * Format (trace_schema 1, any key order, unknown keys tolerated):
  *
  *   {"trace_schema":1,
  *    "name":"solar-day-night",
@@ -19,11 +19,11 @@
 #ifndef MOUSE_HARVEST_POWER_TRACE_HH
 #define MOUSE_HARVEST_POWER_TRACE_HH
 
-#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/types.hh"
 #include "harvest/power_source.hh"
 
@@ -47,23 +47,16 @@ struct PowerTrace
     std::string toJson() const;
 };
 
-/** Why a document failed to parse, anchored to a 1-based line. */
-struct PowerTraceError
-{
-    std::size_t line = 1;
-    std::string message;
-};
-
 /**
- * Parse a trace document.  Tolerates whitespace and unknown keys;
- * rejects structural errors, a missing or unsupported
+ * Parse a trace document.  Keys may come in any order; unknown keys
+ * are tolerated.  Rejects malformed JSON, a missing or unsupported
  * "trace_schema", empty segment lists, non-positive durations and
  * negative powers.  On failure returns nullopt and fills @p err
- * (when given) with the offending line.
+ * (when given) with the offending line and column.
  */
 std::optional<PowerTrace>
 parsePowerTrace(const std::string &text,
-                PowerTraceError *err = nullptr);
+                json::Error *err = nullptr);
 
 } // namespace mouse
 

@@ -14,12 +14,13 @@ namespace
 PowerTrace
 mustParse(const char *json)
 {
-    PowerTraceError err;
+    json::Error err;
     const std::optional<PowerTrace> trace =
         parsePowerTrace(json, &err);
     if (!trace) {
-        mouse_fatal("embedded corpus trace failed to parse (line %zu: %s)",
-                    err.line, err.message.c_str());
+        mouse_fatal("embedded corpus trace failed to parse "
+                    "(%zu:%zu: %s)",
+                    err.line, err.col, err.message.c_str());
     }
     return *trace;
 }

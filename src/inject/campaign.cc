@@ -1,8 +1,8 @@
 #include "campaign.hh"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/run_api.hh"
@@ -14,16 +14,10 @@
 namespace mouse::inject
 {
 
+using json::num;
+
 namespace
 {
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 constexpr std::array<MicroStep, 4> kAllSteps{
     MicroStep::kFetch,
@@ -305,7 +299,7 @@ CampaignReport::toJson() const
 {
     std::string j = "{";
     j += "\"schema\":" + std::to_string(kResultSchemaVersion);
-    j += ",\"workload\":\"" + jsonEscape(workload) + "\"";
+    j += ",\"workload\":\"" + json::escape(workload) + "\"";
     j += ",\"campaign\":{";
     j += "\"checkpoint_period\":" +
          std::to_string(config.checkpointPeriod);
@@ -328,9 +322,9 @@ CampaignReport::toJson() const
         if (i > 0) {
             j += ",";
         }
-        j += "\"" + jsonEscape(config.envSources[i].name()) + "\"";
+        j += "\"" + json::escape(config.envSources[i].name()) + "\"";
     }
-    j += "],\"env_platform\":\"" + jsonEscape(config.envPlatform) +
+    j += "],\"env_platform\":\"" + json::escape(config.envPlatform) +
          "\"";
     j += "},\"golden\":{";
     j += "\"committed\":" + std::to_string(goldenCommitted);
@@ -358,7 +352,7 @@ CampaignReport::toJson() const
         j += "\",\"committed\":" + std::to_string(f.committed);
         j += ",\"reexecuted\":" + std::to_string(f.reexecuted);
         j += ",\"shrink_runs\":" + std::to_string(f.shrinkRuns);
-        j += ",\"note\":\"" + jsonEscape(f.note) + "\"";
+        j += ",\"note\":\"" + json::escape(f.note) + "\"";
         j += ",\"schedule\":" + f.schedule.toJson();
         j += ",\"shrunk\":" + f.shrunk.toJson();
         j += "}";

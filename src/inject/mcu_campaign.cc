@@ -4,6 +4,7 @@
 
 #include "baseline/mcu/eh_scheme.hh"
 #include "baseline/mcu/op_stream.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/schema_versions.hh"
 #include "core/run_api.hh"
@@ -12,6 +13,8 @@
 
 namespace mouse::inject
 {
+
+using json::num;
 
 namespace
 {
@@ -68,12 +71,6 @@ runCuts(const mcu::McuProgram &prog, const mcu::EhScheme &scheme,
         return Verdict::kCorrupted;
     }
     return replayed > 0 ? Verdict::kReexecuted : Verdict::kMatch;
-}
-
-std::string
-num(std::uint64_t v)
-{
-    return std::to_string(v);
 }
 
 } // namespace
@@ -149,8 +146,8 @@ McuCampaignReport::toJson() const
     j += "\"schema\":" +
          std::to_string(schema::kResultSchemaVersion);
     j += ",\"report\":\"mcu_campaign\"";
-    j += ",\"workload\":\"" + jsonEscape(workload) + "\"";
-    j += ",\"scheme\":\"" + jsonEscape(scheme) + "\"";
+    j += ",\"workload\":\"" + json::escape(workload) + "\"";
+    j += ",\"scheme\":\"" + json::escape(scheme) + "\"";
     j += ",\"total_ops\":" + num(totalOps);
     j += ",\"points\":" + num(points);
     j += ",\"replays\":" + num(replays);

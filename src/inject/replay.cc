@@ -1,66 +1,11 @@
 #include "replay.hh"
 
+#include "common/json.hh"
 #include "core/run_api.hh"
 #include "inject/idempotence.hh"
 
 namespace mouse::inject
 {
-
-namespace
-{
-
-/** Extract the balanced {...} object starting at text[pos] == '{';
- *  empty string when unbalanced. */
-std::string
-extractObject(const std::string &text, std::size_t pos)
-{
-    if (pos >= text.size() || text[pos] != '{') {
-        return "";
-    }
-    int depth = 0;
-    bool inString = false;
-    for (std::size_t i = pos; i < text.size(); ++i) {
-        const char c = text[i];
-        if (inString) {
-            if (c == '\\') {
-                ++i;
-            } else if (c == '"') {
-                inString = false;
-            }
-            continue;
-        }
-        if (c == '"') {
-            inString = true;
-        } else if (c == '{') {
-            ++depth;
-        } else if (c == '}') {
-            if (--depth == 0) {
-                return text.substr(pos, i - pos + 1);
-            }
-        }
-    }
-    return "";
-}
-
-/** Value start position of the first `"key":` occurrence. */
-std::size_t
-findValue(const std::string &text, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos) {
-        return std::string::npos;
-    }
-    std::size_t pos = at + needle.size();
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' ||
-            text[pos] == '\n' || text[pos] == '\r')) {
-        ++pos;
-    }
-    return pos;
-}
-
-} // namespace
 
 std::string
 replayArtifactJson(const std::string &workload,
@@ -68,47 +13,46 @@ replayArtifactJson(const std::string &workload,
 {
     std::string j = "{";
     j += "\"schema\":" + std::to_string(kResultSchemaVersion);
-    j += ",\"workload\":\"" + jsonEscape(workload) + "\"";
+    j += ",\"workload\":\"" + json::escape(workload) + "\"";
     j += ",\"schedule\":" + schedule.toJson();
     j += "}";
     return j;
 }
 
 std::optional<ReplayArtifact>
-parseReplayArtifact(const std::string &text)
+parseReplayArtifact(const std::string &text, json::Error *err)
 {
-    ReplayArtifact art;
-
-    std::size_t pos = findValue(text, "workload");
-    if (pos == std::string::npos || pos >= text.size() ||
-        text[pos] != '"') {
+    using json::Value;
+    const std::optional<Value> doc = json::parse(text, err);
+    if (!doc) {
         return std::nullopt;
     }
-    const std::size_t end = text.find('"', pos + 1);
-    if (end == std::string::npos) {
+    const Value *workload = doc->find("workload");
+    if (workload == nullptr || !workload->is(Value::Type::kString)) {
+        json::fail(err, workload ? *workload : *doc,
+                   "expected a \"workload\" string");
         return std::nullopt;
     }
-    art.workload = text.substr(pos + 1, end - pos - 1);
-
     // A campaign report's shortest reproducer is its first shrunk
     // schedule; a standalone artifact has only "schedule".
-    std::size_t sched = findValue(text, "shrunk");
-    if (sched == std::string::npos) {
-        sched = findValue(text, "schedule");
+    const Value *sched = nullptr;
+    if (const Value *f = doc->find("failures");
+        f != nullptr && f->is(Value::Type::kArray) && !f->items.empty()) {
+        sched = f->items[0].find("shrunk");
     }
-    if (sched == std::string::npos) {
+    if (sched == nullptr) {
+        sched = doc->find("schedule");
+    }
+    if (sched == nullptr) {
+        json::fail(err, *doc,
+                   "expected \"failures[0].shrunk\" or \"schedule\"");
         return std::nullopt;
     }
-    const std::string obj = extractObject(text, sched);
-    if (obj.empty()) {
-        return std::nullopt;
-    }
-    auto parsed = OutageSchedule::fromJson(obj);
+    auto parsed = OutageSchedule::fromJson(*sched, err);
     if (!parsed) {
         return std::nullopt;
     }
-    art.schedule = std::move(*parsed);
-    return art;
+    return ReplayArtifact{workload->text, std::move(*parsed)};
 }
 
 PointOutcome

@@ -34,12 +34,14 @@ std::string replayArtifactJson(const std::string &workload,
 
 /**
  * Parse @p text as a replay artifact.  Accepts a standalone
- * artifact or a campaign report; in the latter the first "shrunk"
- * schedule wins (falling back to the first "schedule").  Returns
- * nullopt when no workload name or schedule can be found.
+ * artifact (top-level "schedule") or a campaign report, whose
+ * "failures[0].shrunk" schedule wins.  Returns nullopt, with @p err
+ * (when given) naming the offending line:col, when the document is
+ * malformed or has no workload name or schedule.
  */
 std::optional<ReplayArtifact>
-parseReplayArtifact(const std::string &text);
+parseReplayArtifact(const std::string &text,
+                    json::Error *err = nullptr);
 
 /**
  * Re-run one schedule against a fresh golden run of @p w and return

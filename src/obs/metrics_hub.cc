@@ -2,26 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/schema_versions.hh"
 
 namespace mouse::obs
 {
 
+using json::num;
+
 namespace
 {
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 /** Same geometric bucketing as obs::Histogram, over atomics. */
 int
@@ -388,9 +380,9 @@ MetricsHub::snapshot() const
 
 // -- Serialization ----------------------------------------------------
 //
-// fromJson() scans for the keys in the exact order toJson() emits
-// them, so the two stay a strict round-trip pair; extend both
-// together (and docs/OBSERVABILITY.md's format table).
+// toJson() and fromJson() are a round-trip pair (fromJson() looks keys
+// up by name, so their order is free); extend both together (and
+// docs/OBSERVABILITY.md's format table).
 
 std::string
 MetricsSnapshot::toJson() const
@@ -521,120 +513,106 @@ MetricsSnapshot::toPrometheus() const
     return p;
 }
 
-namespace
-{
-
-/** Find '"key":' at/after @p pos and parse the number behind it. */
-bool
-scanNumber(const std::string &text, const char *key,
-           std::size_t &pos, double &out)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t at = text.find(needle, pos);
-    if (at == std::string::npos) {
-        return false;
-    }
-    const char *start = text.c_str() + at + needle.size();
-    char *end = nullptr;
-    out = std::strtod(start, &end);
-    if (end == start) {
-        return false;
-    }
-    pos = static_cast<std::size_t>(end - text.c_str());
-    return true;
-}
-
-} // namespace
-
 std::optional<MetricsSnapshot>
-MetricsSnapshot::fromJson(const std::string &text)
+MetricsSnapshot::fromJson(const std::string &text, json::Error *err)
 {
-    std::size_t pos = 0;
-    double v = 0.0;
-    if (!scanNumber(text, "metrics_schema", pos, v) ||
-        v != schema::kMetricsSchemaVersion) {
+    using json::Value;
+    const std::optional<Value> doc = json::parse(text, err);
+    if (!doc) {
+        return std::nullopt;
+    }
+    // Every field is required; the first missing or mistyped one is
+    // reported at the value (or the object) that lacks it.
+    bool ok = true;
+    const auto field = [&](const Value &obj,
+                           const char *key) -> const Value * {
+        const Value *v = ok ? obj.find(key) : nullptr;
+        if (ok && v == nullptr) {
+            json::fail(err, obj,
+                       std::string("missing \"") + key + "\"");
+            ok = false;
+        }
+        return v;
+    };
+    const auto real = [&](const Value &obj, const char *key,
+                          double &out) {
+        if (const Value *v = field(obj, key)) {
+            if (!v->is(Value::Type::kNumber)) {
+                json::fail(err, *v, std::string("\"") + key +
+                                        "\" must be a number");
+                ok = false;
+            }
+            out = v->number;
+        }
+    };
+    const auto integer = [&](const Value &obj, const char *key,
+                             auto &out) {
+        if (const Value *v = field(obj, key)) {
+            const auto n =
+                json::toInt<std::remove_reference_t<decltype(out)>>(*v);
+            if (!n) {
+                json::fail(err, *v, std::string("\"") + key +
+                                        "\" must be an integer in "
+                                        "range");
+                ok = false;
+            }
+            out = n.value_or(0);
+        }
+    };
+    // After a failure nothing more is read, so handing back @p obj
+    // itself in place of a bad member is harmless.
+    const auto object = [&](const Value &obj,
+                            const char *key) -> const Value & {
+        const Value *v = field(obj, key);
+        if (v != nullptr && !v->is(Value::Type::kObject)) {
+            json::fail(err, *v, std::string("\"") + key +
+                                    "\" must be an object");
+            ok = false;
+        }
+        return ok ? *v : obj;
+    };
+
+    int version = 0;
+    integer(*doc, "metrics_schema", version);
+    if (ok && version != schema::kMetricsSchemaVersion) {
+        json::fail(err, *doc->find("metrics_schema"),
+                   "unsupported metrics_schema " +
+                       std::to_string(version));
         return std::nullopt;
     }
     MetricsSnapshot s;
-    auto u64 = [](double d) {
-        return d > 0.0 ? static_cast<std::uint64_t>(d + 0.5) : 0;
-    };
-    // Keys scanned in toJson() emission order; "lifetime" keys come
-    // before the same-named "window" keys.
-    if (!scanNumber(text, "uptime_s", pos, s.uptimeSeconds) ||
-        !scanNumber(text, "window_s", pos, s.windowSeconds) ||
-        !scanNumber(text, "submitted", pos, v)) {
-        return std::nullopt;
+    real(*doc, "uptime_s", s.uptimeSeconds);
+    real(*doc, "window_s", s.windowSeconds);
+    const Value &life = object(*doc, "lifetime");
+    integer(life, "submitted", s.submitted);
+    integer(life, "completed", s.completed);
+    integer(life, "batches", s.batches);
+    integer(life, "queue_depth", s.queueDepth);
+    integer(life, "active_workers", s.activeWorkers);
+    integer(life, "slots_total", s.slotsTotal);
+    integer(life, "slots_used", s.slotsUsed);
+    integer(life, "outages", s.outages);
+    integer(life, "stall_warnings", s.stallWarnings);
+    real(life, "sim_seconds", s.simSeconds);
+    real(life, "energy_j", s.energyJoules);
+    real(life, "outage_stall_s", s.outageStallSeconds);
+    real(life, "throughput_per_s", s.throughputPerS);
+    const Value &win = object(*doc, "window");
+    integer(win, "completed", s.windowCompleted);
+    integer(win, "batches", s.windowBatches);
+    real(win, "throughput_per_s", s.windowThroughputPerS);
+    real(win, "batch_occupancy", s.windowOccupancy);
+    real(win, "energy_per_request_j", s.windowEnergyPerRequestJ);
+    real(win, "outage_stall_s", s.windowOutageStallSeconds);
+    for (auto [key, q] : {std::pair{"host_latency_s", &s.hostLatency},
+                          std::pair{"sim_latency_s", &s.simLatency}}) {
+        const Value &lat = object(win, key);
+        integer(lat, "count", q->count);
+        real(lat, "p50", q->p50);
+        real(lat, "p95", q->p95);
+        real(lat, "p99", q->p99);
     }
-    s.submitted = u64(v);
-    if (!scanNumber(text, "completed", pos, v)) {
-        return std::nullopt;
-    }
-    s.completed = u64(v);
-    if (!scanNumber(text, "batches", pos, v)) {
-        return std::nullopt;
-    }
-    s.batches = u64(v);
-    if (!scanNumber(text, "queue_depth", pos, v)) {
-        return std::nullopt;
-    }
-    s.queueDepth = static_cast<std::int64_t>(v);
-    if (!scanNumber(text, "active_workers", pos, v)) {
-        return std::nullopt;
-    }
-    s.activeWorkers = static_cast<std::uint32_t>(u64(v));
-    if (!scanNumber(text, "slots_total", pos, v)) {
-        return std::nullopt;
-    }
-    s.slotsTotal = u64(v);
-    if (!scanNumber(text, "slots_used", pos, v)) {
-        return std::nullopt;
-    }
-    s.slotsUsed = u64(v);
-    if (!scanNumber(text, "outages", pos, v)) {
-        return std::nullopt;
-    }
-    s.outages = u64(v);
-    if (!scanNumber(text, "stall_warnings", pos, v)) {
-        return std::nullopt;
-    }
-    s.stallWarnings = u64(v);
-    if (!scanNumber(text, "sim_seconds", pos, s.simSeconds) ||
-        !scanNumber(text, "energy_j", pos, s.energyJoules) ||
-        !scanNumber(text, "outage_stall_s", pos,
-                    s.outageStallSeconds) ||
-        !scanNumber(text, "throughput_per_s", pos,
-                    s.throughputPerS) ||
-        !scanNumber(text, "completed", pos, v)) {
-        return std::nullopt;
-    }
-    s.windowCompleted = u64(v);
-    if (!scanNumber(text, "batches", pos, v)) {
-        return std::nullopt;
-    }
-    s.windowBatches = u64(v);
-    if (!scanNumber(text, "throughput_per_s", pos,
-                    s.windowThroughputPerS) ||
-        !scanNumber(text, "batch_occupancy", pos,
-                    s.windowOccupancy) ||
-        !scanNumber(text, "energy_per_request_j", pos,
-                    s.windowEnergyPerRequestJ) ||
-        !scanNumber(text, "outage_stall_s", pos,
-                    s.windowOutageStallSeconds)) {
-        return std::nullopt;
-    }
-    auto latency = [&](LatencyQuantiles &q) {
-        double c = 0.0;
-        if (!scanNumber(text, "count", pos, c) ||
-            !scanNumber(text, "p50", pos, q.p50) ||
-            !scanNumber(text, "p95", pos, q.p95) ||
-            !scanNumber(text, "p99", pos, q.p99)) {
-            return false;
-        }
-        q.count = u64(c);
-        return true;
-    };
-    if (!latency(s.hostLatency) || !latency(s.simLatency)) {
+    if (!ok) {
         return std::nullopt;
     }
     return s;

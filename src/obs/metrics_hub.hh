@@ -45,6 +45,7 @@
 #include <string>
 #include <thread>
 
+#include "common/json.hh"
 #include "obs/stat_registry.hh"
 
 namespace mouse::obs
@@ -114,9 +115,11 @@ struct MetricsSnapshot
     std::string toJson() const;
     /** Prometheus text exposition (mouse_serve_* families). */
     std::string toPrometheus() const;
-    /** Parse a toJson() document; nullopt on malformed input. */
+    /** Parse a toJson() document (any key order); nullopt, with
+     *  @p err (when given) naming the line:col, on malformed input
+     *  or a missing, mistyped or out-of-range field. */
     static std::optional<MetricsSnapshot>
-    fromJson(const std::string &text);
+    fromJson(const std::string &text, json::Error *err = nullptr);
 };
 
 /** Lock-free live-metrics aggregation point. */

@@ -2,39 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mouse::obs
 {
 
-namespace
-{
-
-/** Shortest-round-trip formatting; JSON has no NaN/Inf literals. */
-std::string
-num(double v)
-{
-    if (!std::isfinite(v)) {
-        return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-num(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-} // namespace
+using json::num;
 
 void
 Scalar::observe(double v)
@@ -350,10 +326,10 @@ StatRegistry::toJson() const
         first = false;
         // Open the new groups down to the leaf.
         for (std::size_t k = common; k + 1 < parts.size(); ++k) {
-            j += "\"" + parts[k] + "\":{";
+            j += "\"" + json::escape(parts[k]) + "\":{";
             open.push_back(parts[k]);
         }
-        j += "\"" + parts.back() + "\":";
+        j += "\"" + json::escape(parts.back()) + "\":";
         switch (e.kind) {
           case Entry::Kind::kCounter:
             j += num(e.counter->value());

@@ -2,24 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <thread>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mouse::serve
 {
 
+using json::num;
+
 namespace
 {
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 /** Exact percentile over a copy (nearest-rank interpolation). */
 double
@@ -126,7 +120,7 @@ InferenceService::cutBatch(ModelId model)
             hostSince(std::chrono::steady_clock::now()),
             "{\"batch\":" + std::to_string(cut.id) +
                 ",\"model\":\"" +
-                jsonEscape(models_[model].name()) +
+                json::escape(models_[model].name()) +
                 "\",\"size\":" + std::to_string(cut.reqs.size()) +
                 "}");
     }
@@ -246,7 +240,7 @@ InferenceService::runBatch(Engine &eng, unsigned engineIdx,
         const std::uint32_t pool = 0;
         const std::string bArgs =
             "{\"batch\":" + std::to_string(batch.id) +
-            ",\"model\":\"" + jsonEscape(m.name()) +
+            ",\"model\":\"" + json::escape(m.name()) +
             "\",\"size\":" + std::to_string(size) + "}";
         ts->complete("batch", "serve", t0, tEnd - t0, bArgs, pool,
                      engineIdx);
@@ -489,7 +483,7 @@ InferenceService::reportJson() const
         if (m > 0) {
             j += ",";
         }
-        j += "{\"name\":\"" + jsonEscape(models_[m].name()) + "\"";
+        j += "{\"name\":\"" + json::escape(models_[m].name()) + "\"";
         j += ",\"slots\":" + std::to_string(models_[m].slots());
         j += ",\"cols_per_request\":" +
              std::to_string(models_[m].colsPerRequest());

@@ -1,9 +1,6 @@
 #include "outage_schedule.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 
 namespace mouse
 {
@@ -85,15 +82,10 @@ OutageSchedule::toJson() const
         if (i > 0) {
             j += ",";
         }
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "{\"attempt\":%llu,\"step\":\"%s\","
-                      "\"fraction\":%.17g}",
-                      static_cast<unsigned long long>(
-                          points[i].attempt),
-                      microStepName(points[i].step),
-                      points[i].fraction);
-        j += buf;
+        j += "{\"attempt\":" + json::num(points[i].attempt);
+        j += ",\"step\":\"";
+        j += microStepName(points[i].step);
+        j += "\",\"fraction\":" + json::num(points[i].fraction) + "}";
     }
     j += "]}";
     return j;
@@ -102,233 +94,104 @@ OutageSchedule::toJson() const
 namespace
 {
 
-/**
- * Minimal scanner for the schedule's own JSON dialect: flat keys,
- * numbers, booleans, one array of flat objects.  Not a general JSON
- * parser — it only needs to read back what toJson() writes (plus
- * whitespace and unknown scalar keys).
- */
-class JsonScanner
-{
-  public:
-    explicit JsonScanner(const std::string &text)
-        : text_(text), pos_(0)
-    {
-    }
+using json::Value;
 
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    peek(char c)
-    {
-        skipWs();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-
-    bool
-    readString(std::string &out)
-    {
-        if (!consume('"')) {
-            return false;
-        }
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) {
-                ++pos_;
-            }
-            out += text_[pos_++];
-        }
-        return consume('"');
-    }
-
-    bool
-    readNumber(double &out)
-    {
-        skipWs();
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        out = std::strtod(start, &end);
-        if (end == start) {
-            return false;
-        }
-        pos_ += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    bool
-    readBool(bool &out)
-    {
-        skipWs();
-        if (text_.compare(pos_, 4, "true") == 0) {
-            out = true;
-            pos_ += 4;
-            return true;
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            out = false;
-            pos_ += 5;
-            return true;
-        }
-        return false;
-    }
-
-    /** Skip one scalar value (string, number, or boolean). */
-    bool
-    skipScalar()
-    {
-        skipWs();
-        std::string s;
-        double d;
-        bool b;
-        if (peek('"')) {
-            return readString(s);
-        }
-        if (readBool(b)) {
-            return true;
-        }
-        return readNumber(d);
-    }
-
-  private:
-    const std::string &text_;
-    std::size_t pos_;
-};
-
+/** One "outages" entry; false (with @p err filled) when malformed. */
 bool
-parseOutage(JsonScanner &sc, OutagePoint &p)
+parseOutage(const Value &v, OutagePoint &p, json::Error *err)
 {
-    if (!sc.consume('{')) {
+    if (!v.is(Value::Type::kObject)) {
+        json::fail(err, v, "an outage is a JSON object");
         return false;
     }
-    bool first = true;
-    while (!sc.peek('}')) {
-        if (!first && !sc.consume(',')) {
+    if (const Value *a = v.find("attempt")) {
+        const auto attempt = json::toInt<std::uint64_t>(*a);
+        if (!attempt) {
+            json::fail(err, *a,
+                       "\"attempt\" must be a non-negative integer");
             return false;
         }
-        first = false;
-        std::string key;
-        if (!sc.readString(key) || !sc.consume(':')) {
-            return false;
-        }
-        if (key == "attempt") {
-            double v;
-            if (!sc.readNumber(v) || v < 0.0) {
-                return false;
-            }
-            p.attempt = static_cast<std::uint64_t>(v);
-        } else if (key == "step") {
-            std::string name;
-            if (!sc.readString(name)) {
-                return false;
-            }
-            const auto step = parseMicroStep(name);
-            if (!step) {
-                return false;
-            }
-            p.step = *step;
-        } else if (key == "fraction") {
-            double v;
-            if (!sc.readNumber(v) || v < 0.0 || v > 1.0) {
-                return false;
-            }
-            p.fraction = v;
-        } else if (!sc.skipScalar()) {
-            return false;
-        }
+        p.attempt = *attempt;
     }
-    return sc.consume('}');
+    if (const Value *s = v.find("step")) {
+        const auto step = s->is(Value::Type::kString)
+                              ? parseMicroStep(s->text)
+                              : std::nullopt;
+        if (!step) {
+            json::fail(err, *s, "unknown micro-step");
+            return false;
+        }
+        p.step = *step;
+    }
+    if (const Value *f = v.find("fraction")) {
+        if (!f->is(Value::Type::kNumber) || f->number < 0.0 ||
+            f->number > 1.0) {
+            json::fail(err, *f, "\"fraction\" must be in [0, 1]");
+            return false;
+        }
+        p.fraction = f->number;
+    }
+    return true;
 }
 
 } // namespace
 
 std::optional<OutageSchedule>
-OutageSchedule::fromJson(const std::string &text)
+OutageSchedule::fromJson(const std::string &text, json::Error *err)
 {
-    JsonScanner sc(text);
+    const std::optional<Value> doc = json::parse(text, err);
+    return doc ? fromJson(*doc, err) : std::nullopt;
+}
+
+std::optional<OutageSchedule>
+OutageSchedule::fromJson(const Value &doc, json::Error *err)
+{
+    const auto bad = [err](const Value &at, const std::string &what) {
+        json::fail(err, at, what);
+        return std::nullopt;
+    };
+    if (!doc.is(Value::Type::kObject)) {
+        return bad(doc, "an outage schedule is a JSON object");
+    }
     OutageSchedule sched;
-    if (!sc.consume('{')) {
-        return std::nullopt;
+    if (const Value *v = doc.find("checkpoint_period")) {
+        const auto period = json::toInt<unsigned>(*v);
+        if (!period || *period < 1) {
+            return bad(*v, "\"checkpoint_period\" must be an integer "
+                           ">= 1");
+        }
+        sched.checkpointPeriod = *period;
     }
-    bool first = true;
-    while (!sc.peek('}')) {
-        if (!first && !sc.consume(',')) {
-            return std::nullopt;
+    if (const Value *v = doc.find("restore_journal")) {
+        if (!v->is(Value::Type::kBool)) {
+            return bad(*v, "\"restore_journal\" must be a boolean");
         }
-        first = false;
-        std::string key;
-        if (!sc.readString(key) || !sc.consume(':')) {
-            return std::nullopt;
+        sched.restoreJournal = v->boolean;
+    }
+    if (const Value *v = doc.find("checkpoints")) {
+        if (!v->is(Value::Type::kArray)) {
+            return bad(*v, "\"checkpoints\" must be an array");
         }
-        if (key == "checkpoint_period") {
-            double v;
-            if (!sc.readNumber(v) || v < 1.0) {
-                return std::nullopt;
+        for (const Value &pc : v->items) {
+            const auto c = json::toInt<std::uint32_t>(pc);
+            if (!c) {
+                return bad(pc, "a checkpoint must be a 32-bit "
+                               "non-negative integer");
             }
-            sched.checkpointPeriod = static_cast<unsigned>(v);
-        } else if (key == "restore_journal") {
-            if (!sc.readBool(sched.restoreJournal)) {
-                return std::nullopt;
-            }
-        } else if (key == "checkpoints") {
-            if (!sc.consume('[')) {
-                return std::nullopt;
-            }
-            while (!sc.peek(']')) {
-                if (!sched.checkpoints.empty() &&
-                    !sc.consume(',')) {
-                    return std::nullopt;
-                }
-                double v;
-                if (!sc.readNumber(v) || v < 0.0) {
-                    return std::nullopt;
-                }
-                sched.checkpoints.push_back(
-                    static_cast<std::uint32_t>(v));
-            }
-            if (!sc.consume(']')) {
-                return std::nullopt;
-            }
-        } else if (key == "outages") {
-            if (!sc.consume('[')) {
-                return std::nullopt;
-            }
-            while (!sc.peek(']')) {
-                if (!sched.points.empty() && !sc.consume(',')) {
-                    return std::nullopt;
-                }
-                OutagePoint p;
-                if (!parseOutage(sc, p)) {
-                    return std::nullopt;
-                }
-                sched.points.push_back(p);
-            }
-            if (!sc.consume(']')) {
-                return std::nullopt;
-            }
-        } else if (!sc.skipScalar()) {
-            return std::nullopt;
+            sched.checkpoints.push_back(*c);
         }
     }
-    if (!sc.consume('}')) {
-        return std::nullopt;
+    if (const Value *v = doc.find("outages")) {
+        if (!v->is(Value::Type::kArray)) {
+            return bad(*v, "\"outages\" must be an array");
+        }
+        for (const Value &o : v->items) {
+            OutagePoint p;
+            if (!parseOutage(o, p, err)) {
+                return std::nullopt;
+            }
+            sched.points.push_back(p);
+        }
     }
     sched.normalize();
     return sched;

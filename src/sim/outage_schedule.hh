@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "controller/controller.hh"
 
 namespace mouse
@@ -87,11 +88,18 @@ struct OutageSchedule
     std::string toJson() const;
 
     /**
-     * Parse a toJson() document (tolerates surrounding whitespace
-     * and unknown keys).  Returns nullopt on malformed input.
+     * Parse a toJson() document (any key order; unknown keys
+     * tolerated).  Integer fields must be integral and in range,
+     * fractions in [0, 1].  Returns nullopt on malformed input and
+     * fills @p err (when given) with the offending line:col.
      */
     static std::optional<OutageSchedule>
-    fromJson(const std::string &text);
+    fromJson(const std::string &text, json::Error *err = nullptr);
+
+    /** fromJson() over an already-parsed value (e.g. the schedule
+     *  object inside a replay artifact). */
+    static std::optional<OutageSchedule>
+    fromJson(const json::Value &doc, json::Error *err = nullptr);
 };
 
 /** Stable wire name of a micro-step ("fetch", "execute", ...). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mouse
@@ -142,7 +143,7 @@ class SimProbe
         offSince_ = t + attemptDur;
         if (wantsEvents()) {
             sink_->complete("dead_attempt", "exec", t, attemptDur,
-                            "{\"wasted_j\":" + jnum(wasted) + "}");
+                            "{\"wasted_j\":" + json::num(wasted) + "}");
             sink_->instant("power_off", "power", offSince_);
             sink_->counter("power_state", "power", offSince_, 0.0);
         }
@@ -196,7 +197,7 @@ class SimProbe
         }
         if (wantsEvents()) {
             sink_->complete("restore", "power", t0, dur,
-                            "{\"energy_j\":" + jnum(energy) + "}");
+                            "{\"energy_j\":" + json::num(energy) + "}");
         }
     }
 
@@ -356,14 +357,6 @@ class SimProbe
     }
 
   private:
-    static std::string
-    jnum(double v)
-    {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        return buf;
-    }
-
     obs::TraceConfig cfg_{};
     obs::StatRegistry *reg_ = nullptr;
     obs::TraceSink *sink_ = nullptr;

@@ -304,7 +304,7 @@ TEST(PowerTrace, JsonRoundTripPreservesEverySegmentBit)
     trace.segments = {{0.125, 3.0000000000000004e-05},
                       {2.5, 1e-12},
                       {0.7071067811865476, 5e-3}};
-    PowerTraceError err;
+    json::Error err;
     const auto back = parsePowerTrace(trace.toJson(), &err);
     ASSERT_TRUE(back.has_value()) << err.message;
     EXPECT_EQ(back->name, trace.name);
@@ -318,7 +318,7 @@ TEST(PowerTrace, JsonRoundTripPreservesEverySegmentBit)
 
 TEST(PowerTrace, ParserRejectsWithLineNumbers)
 {
-    PowerTraceError err;
+    json::Error err;
     EXPECT_FALSE(parsePowerTrace("{\"segments\":[]}", &err));
     EXPECT_EQ(err.line, 1u);
 

@@ -69,6 +69,47 @@ TEST(OutageScheduleJson, RejectsMalformedInput)
         OutageSchedule::fromJson("{\"outages\":[{\"step\":"
                                  "\"warp\"}]}")
             .has_value());
+
+    // Integer fields must be integral and in range, fractions finite
+    // and in [0, 1]; the error names the offending value's line:col.
+    const char *bad[] = {
+        "{\"checkpoint_period\":nan}",
+        "{\"checkpoint_period\":1e30}",
+        "{\"checkpoint_period\":1.5}",
+        "{\"checkpoint_period\":-1}",
+        "{\"checkpoint_period\":0}",
+        "{\"checkpoint_period\":4294967296}",
+        "{\"outages\":[{\"attempt\":1e30}]}",
+        "{\"outages\":[{\"attempt\":1.5}]}",
+        "{\"outages\":[{\"attempt\":-1}]}",
+        "{\"outages\":[{\"attempt\":nan}]}",
+        "{\"outages\":[{\"fraction\":nan}]}",
+        "{\"outages\":[{\"fraction\":1e999}]}",
+        "{\"outages\":[{\"fraction\":1.5}]}",
+        "{\"outages\":[{\"fraction\":-1}]}",
+        "{\"checkpoints\":[1e30]}",
+        "{\"checkpoints\":[1.5]}",
+        "{\"checkpoints\":[-1]}",
+        "{\"checkpoints\":[4294967296]}",
+    };
+    for (const char *doc : bad) {
+        json::Error err;
+        EXPECT_FALSE(OutageSchedule::fromJson(doc, &err).has_value())
+            << doc;
+        EXPECT_EQ(err.line, 1u) << doc;
+        EXPECT_EQ(std::string(doc).find_first_of("-0123456789n",
+                                                 err.col - 1),
+                  err.col - 1)
+            << doc << " reported at col " << err.col;
+    }
+    // The largest in-range values still parse.
+    const auto edge = OutageSchedule::fromJson(
+        "{\"checkpoint_period\":4294967295,\"checkpoints\":[4294967295],"
+        "\"outages\":[{\"attempt\":18446744073709551615,"
+        "\"fraction\":1e0}]}");
+    ASSERT_TRUE(edge.has_value());
+    EXPECT_EQ(edge->checkpointPeriod, 4294967295u);
+    EXPECT_EQ(edge->points[0].attempt, 18446744073709551615ull);
 }
 
 TEST(OutageScheduleJson, MicroStepNamesRoundTrip)
@@ -381,6 +422,13 @@ TEST(Replay, ArtifactRoundTripsAndReproduces)
     const PointOutcome o =
         replaySchedule(gates(), parsed->schedule);
     EXPECT_EQ(o.verdict, Verdict::kCorrupted);
+
+    // Workload names survive quotes and backslashes.
+    const std::string odd = "odd \"quoted\" \\ name\n";
+    const auto named = parseReplayArtifact(replayArtifactJson(odd, s));
+    ASSERT_TRUE(named.has_value());
+    EXPECT_EQ(named->workload, odd);
+    EXPECT_EQ(named->schedule.points, s.points);
 }
 
 TEST(Replay, PicksShrunkScheduleOutOfCampaignReport)

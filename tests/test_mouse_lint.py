@@ -103,6 +103,23 @@ class LintFixtureCorpus(unittest.TestCase):
         self.assertNotIn("src/baseline/allowed_sonic_model.cc",
                          self.by_file)
 
+    def test_json_helpers_bad(self):
+        path = "src/obs/bad_json_helpers.cc"
+        # The private %.17g formatters (a helper and an inline
+        # printf), the jsonEscape and escape definitions and the
+        # escape lambda; the comment on line 2 and the call on line
+        # 34 are silent.
+        rules = [(f["line"], f["rule"]) for f in self.by_file[path]]
+        self.assertEqual(rules, [(11, "json-helpers"),
+                                 (16, "json-helpers"),
+                                 (24, "json-helpers"),
+                                 (33, "json-helpers"),
+                                 (40, "json-helpers")])
+
+    def test_json_helpers_allowed_in_json_module(self):
+        self.assertNotIn("src/common/json.cc", self.by_file)
+        self.assertNotIn("src/core/good_json_calls.cc", self.by_file)
+
     def test_good_files_are_silent(self):
         good = [p for p in self.by_file
                 if "/good_" in p or "/allowed_" in p
@@ -147,7 +164,7 @@ class LintReportSchema(unittest.TestCase):
         self.assertEqual(rule_ids, {
             "unordered-iteration", "host-clock", "schema-constants",
             "obs-hook-args", "float-accumulate", "source-power",
-            "sonic-model"})
+            "sonic-model", "json-helpers"})
         for x in r["rules"]:
             self.assertTrue(x["description"])
 

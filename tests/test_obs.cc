@@ -9,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "core/accelerator.hh"
@@ -20,197 +18,12 @@
 #include "obs/metrics_hub.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace_sink.hh"
+#include "json_checker.hh"
 
 namespace mouse
 {
 namespace
 {
-
-// -- A tiny recursive-descent JSON syntax checker -------------------
-//
-// Enough to assert our hand-rolled serializers emit documents that a
-// real parser (CI runs python3 -m json.tool) will accept: balanced
-// structure, quoted keys, legal literals, no trailing commas.
-
-class JsonChecker
-{
-  public:
-    explicit JsonChecker(const std::string &text) : s_(text) {}
-
-    bool
-    valid()
-    {
-        skipWs();
-        if (!value()) {
-            return false;
-        }
-        skipWs();
-        return pos_ == s_.size();
-    }
-
-  private:
-    bool
-    value()
-    {
-        if (pos_ >= s_.size()) {
-            return false;
-        }
-        switch (s_[pos_]) {
-          case '{':
-            return object();
-          case '[':
-            return array();
-          case '"':
-            return string();
-          case 't':
-            return literal("true");
-          case 'f':
-            return literal("false");
-          case 'n':
-            return literal("null");
-          default:
-            return number();
-        }
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // '{'
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!string()) {
-                return false;
-            }
-            skipWs();
-            if (peek() != ':') {
-                return false;
-            }
-            ++pos_;
-            skipWs();
-            if (!value()) {
-                return false;
-            }
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!value()) {
-                return false;
-            }
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
-    {
-        if (peek() != '"') {
-            return false;
-        }
-        ++pos_;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size()) {
-                    return false;
-                }
-            }
-            ++pos_;
-        }
-        if (pos_ >= s_.size()) {
-            return false;
-        }
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool
-    number()
-    {
-        const std::size_t start = pos_;
-        if (peek() == '-') {
-            ++pos_;
-        }
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '.' || s_[pos_] == 'e' ||
-                s_[pos_] == 'E' || s_[pos_] == '+' ||
-                s_[pos_] == '-')) {
-            ++pos_;
-        }
-        return pos_ > start;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::strlen(word);
-        if (s_.compare(pos_, n, word) != 0) {
-            return false;
-        }
-        pos_ += n;
-        return true;
-    }
-
-    char
-    peek() const
-    {
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    const std::string &s_;
-    std::size_t pos_ = 0;
-};
-
-bool
-validJson(const std::string &text)
-{
-    return JsonChecker(text).valid();
-}
 
 // -- StatRegistry ----------------------------------------------------
 
@@ -638,6 +451,52 @@ TEST(MetricsHub, SnapshotJsonRoundTrips)
             .has_value());
     EXPECT_FALSE(obs::MetricsSnapshot::fromJson("not json at all")
                      .has_value());
+
+    // Keys may come in any order (json.dumps(sort_keys=True) output
+    // included): with every object's members reversed the snapshot
+    // still reads back field for field.
+    const std::string reversed = reversedKeys(j);
+    ASSERT_NE(reversed, j);
+    const auto p = obs::MetricsSnapshot::fromJson(reversed);
+    ASSERT_TRUE(p.has_value()) << reversed;
+    EXPECT_EQ(p->toJson(), j);
+}
+
+TEST(MetricsHub, SnapshotIntegersMustBeIntegralAndInRange)
+{
+    obs::MetricsHub hub;
+    const std::string j = hub.snapshot().toJson();
+    const auto with = [&j](const std::string &field,
+                           const std::string &value) {
+        const std::string key = "\"" + field + "\":";
+        const std::size_t at = j.find(key) + key.size();
+        return j.substr(0, at) + value +
+               j.substr(j.find_first_of(",}", at));
+    };
+    // A signed gauge may go negative; counters may not.
+    EXPECT_TRUE(obs::MetricsSnapshot::fromJson(with("queue_depth", "-1")));
+    EXPECT_TRUE(obs::MetricsSnapshot::fromJson(
+        with("submitted", "18446744073709551615")));
+    const std::pair<const char *, const char *> bad[] = {
+        {"queue_depth", "1e300"},
+        {"queue_depth", "1.5"},
+        {"submitted", "-1"},
+        {"submitted", "18446744073709551616"},
+        {"active_workers", "4294967296"},
+        {"count", "2.5"},
+        {"metrics_schema", "1.5"},
+    };
+    for (const auto &[field, value] : bad) {
+        const std::string doc = with(field, value);
+        json::Error err;
+        EXPECT_FALSE(obs::MetricsSnapshot::fromJson(doc, &err))
+            << field << "=" << value;
+        EXPECT_EQ(err.line, 1u);
+        EXPECT_EQ(doc.compare(err.col - 1, std::string(value).size(),
+                              value),
+                  0)
+            << field << "=" << value << " reported at col " << err.col;
+    }
 }
 
 TEST(MetricsHub, PrometheusExpositionNamesTheFamilies)

@@ -70,6 +70,7 @@
 #endif
 
 #include "baseline/selector.hh"
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/schema_versions.hh"
 #include "energy/area_model.hh"
@@ -754,26 +755,24 @@ cmdInfo(const Options &opts)
     const GateLibrary lib(makeDeviceConfig(opts.tech));
     const DeviceConfig &cfg = lib.config();
     if (opts.json) {
-        std::string gates;
+        using json::num;
+        std::string j = "{\"tech\":\"";
+        j += names::techName(opts.tech);
+        j += "\",\"name\":\"" + json::escape(cfg.name()) + "\"";
+        j += ",\"frequency_hz\":" + num(cfg.frequency());
+        j += ",\"cap_voltage_low_v\":" + num(cfg.capVoltageLow);
+        j += ",\"cap_voltage_high_v\":" + num(cfg.capVoltageHigh);
+        j += ",\"buffer_capacitance_f\":" + num(cfg.bufferCapacitance);
+        j += ",\"write_energy_j\":" + num(lib.writeOp().energy);
+        j += ",\"read_energy_j\":" + num(lib.readOp().energy);
+        j += ",\"feasible_gates\":[";
         for (GateType g : lib.feasibleGates()) {
-            if (!gates.empty()) {
-                gates += ",";
+            if (j.back() != '[') {
+                j += ",";
             }
-            gates += "\"" + jsonEscape(gateName(g)) + "\"";
+            j += "\"" + json::escape(gateName(g)) + "\"";
         }
-        std::printf(
-            "{\"tech\":\"%s\",\"name\":\"%s\","
-            "\"frequency_hz\":%.17g,"
-            "\"cap_voltage_low_v\":%.17g,"
-            "\"cap_voltage_high_v\":%.17g,"
-            "\"buffer_capacitance_f\":%.17g,"
-            "\"write_energy_j\":%.17g,\"read_energy_j\":%.17g,"
-            "\"feasible_gates\":[%s]}\n",
-            names::techName(opts.tech),
-            jsonEscape(cfg.name()).c_str(), cfg.frequency(),
-            cfg.capVoltageLow, cfg.capVoltageHigh,
-            cfg.bufferCapacitance, lib.writeOp().energy,
-            lib.readOp().energy, gates.c_str());
+        std::printf("%s]}\n", j.c_str());
         return 0;
     }
     std::printf("%s: %.1f MHz, window %.0f..%.0f mV, buffer %.0f uF\n",
@@ -819,7 +818,7 @@ std::optional<std::string> readFile(const std::string &path);
  * Resolve a --power-trace argument before anything simulates: a
  * corpus trace name wins, anything else is read as a trace_schema-1
  * JSON file.  A missing file, malformed JSON, or wrong trace_schema
- * prints a "path:line: message" error and fails (exit 2 upstream),
+ * prints a "path:line:col: message" error and fails (exit 2 upstream),
  * matching the strict up-front validation of every other flag.
  */
 bool
@@ -833,11 +832,11 @@ resolveSourceSpec(const std::string &arg, SourceSpec &out)
     if (!text) {
         return false;
     }
-    PowerTraceError err;
+    json::Error err;
     const auto trace = parsePowerTrace(*text, &err);
     if (!trace) {
-        std::fprintf(stderr, "mouse_cli: %s:%zu: %s\n", arg.c_str(),
-                     err.line, err.message.c_str());
+        std::fprintf(stderr, "mouse_cli: %s:%zu:%zu: %s\n", arg.c_str(),
+                     err.line, err.col, err.message.c_str());
         return false;
     }
     out = SourceSpec::trace(*trace);
@@ -1035,13 +1034,15 @@ cmdMetricsSummary(const std::string &path)
     if (!text) {
         return 2;
     }
-    const auto snap = obs::MetricsSnapshot::fromJson(*text);
+    json::Error err;
+    const auto snap = obs::MetricsSnapshot::fromJson(*text, &err);
     if (!snap) {
         std::fprintf(stderr,
-                     "mouse_cli: '%s' is not a metrics snapshot "
-                     "(want the --metrics-out JSON document, "
+                     "mouse_cli: %s:%zu:%zu: %s; not a metrics "
+                     "snapshot (want the --metrics-out JSON document, "
                      "metrics_schema %d)\n",
-                     path.c_str(), schema::kMetricsSchemaVersion);
+                     path.c_str(), err.line, err.col,
+                     err.message.c_str(), schema::kMetricsSchemaVersion);
         return 2;
     }
     const obs::MetricsSnapshot &s = *snap;
@@ -1103,12 +1104,14 @@ cmdInjectReplay(const Options &opts)
     if (!text) {
         return 2;
     }
-    const auto art = inject::parseReplayArtifact(*text);
+    json::Error err;
+    const auto art = inject::parseReplayArtifact(*text, &err);
     if (!art) {
         std::fprintf(stderr,
-                     "'%s' is not a replay artifact or campaign "
-                     "report with failures\n",
-                     opts.replayPath.c_str());
+                     "mouse_cli: %s:%zu:%zu: %s; not a replay artifact "
+                     "or campaign report with failures\n",
+                     opts.replayPath.c_str(), err.line, err.col,
+                     err.message.c_str());
         return 2;
     }
     const auto w = inject::makeCampaignWorkload(art->workload);

@@ -28,6 +28,12 @@ Rules (see docs/STATIC_ANALYSIS.md for the full rationale):
                         must be a plain identifier / member chain
                         (at most a trailing .get()) — never a call or
                         allocating expression.
+  json-helpers          No "%.17g" literal and no JSON string
+                        escaper (jsonEscape, or a function named
+                        escape) in src/, tools/ or bench/ outside
+                        src/common/json.cc — every document formats
+                        numbers and strings through json::num and
+                        json::escape.
   float-accumulate      No float/double accumulation via
                         std::accumulate / std::reduce /
                         std::transform_reduce in src/exp, src/inject,
@@ -462,6 +468,40 @@ def check_sonic_model(sf, findings):
                 "(baseline/sonic_scheme.hh) or select the \"sonic\" "
                 "scheme so every system goes through one dispatch",
                 sf.raw_lines[i - 1]))
+
+
+JSON_HOME = "src/common/json.cc"
+JSON_NUMBER_FMT_RE = re.compile(r"%\.17g")
+JSON_ESCAPER_RE = re.compile(r"\bjsonEscape\b")
+ESCAPE_FN_RE = re.compile(r"^\s*(?:[\w:<>&*]+\s+)*(?:\w+::)*escape\s*\(")
+ESCAPE_LAMBDA_RE = re.compile(r"\bescape\s*=\s*\[")
+
+
+@rule("json-helpers",
+      "src/common/json.cc holds the one %.17g number formatter and the "
+      "one JSON string escaper; src/, tools/ and bench/ call json::num "
+      "and json::escape instead of keeping private copies")
+def check_json_helpers(sf, findings):
+    if sf.relpath == JSON_HOME or \
+            not under(sf.relpath, ("src", "tools", "bench")):
+        return
+    for i, line in enumerate(sf.nocomment_lines, start=1):
+        if JSON_NUMBER_FMT_RE.search(line):
+            findings.append(Finding(
+                "json-helpers", sf.relpath, i,
+                "private %.17g number formatting; call json::num() "
+                "(common/json.hh)", sf.raw_lines[i - 1]))
+    for i, line in enumerate(sf.code_lines, start=1):
+        # A function named escape whose statement opens a body (not
+        # a declaration or call), or a lambda bound to that name.
+        defines = ESCAPE_LAMBDA_RE.search(line) or (
+            ESCAPE_FN_RE.search(line) and not statement_around(
+                sf.code_lines, i - 1).rstrip().endswith(";"))
+        if JSON_ESCAPER_RE.search(line) or defines:
+            findings.append(Finding(
+                "json-helpers", sf.relpath, i,
+                "private JSON string escaper; call json::escape() "
+                "(common/json.hh)", sf.raw_lines[i - 1]))
 
 
 # -- File discovery ---------------------------------------------------
