@@ -10,7 +10,7 @@ KernelBuilder::KernelBuilder(const GateLibrary &lib,
                              unsigned first_free_row)
     : lib_(lib), cfg_(cfg), tile_(tile),
       rows_(cfg.tileRows, first_free_row),
-      locality_(lib.config().wireResistancePerCell > 0.0)
+      locality_(defaultPlacementLocality(lib))
 {
     mouse_assert(tile < cfg.numDataTiles || tile == kBroadcastTile,
                  "tile OOB");
@@ -166,10 +166,23 @@ KernelBuilder::emitGate(GateType g, const std::array<RowAddr, 3> &in,
     }
 }
 
-void
-KernelBuilder::requireFeasible(GateType g) const
+bool
+KernelBuilder::consultFeasible(GateType g)
 {
-    if (!lib_.feasible(g)) {
+    const bool ok = lib_.feasible(g);
+    const auto bit = static_cast<std::uint16_t>(
+        1u << static_cast<unsigned>(g));
+    feasibility_.consulted |= bit;
+    if (ok) {
+        feasibility_.answers |= bit;
+    }
+    return ok;
+}
+
+void
+KernelBuilder::requireFeasible(GateType g)
+{
+    if (!consultFeasible(g)) {
         mouse_fatal("gate %s not feasible on %s", gateName(g).c_str(),
                     lib_.config().name().c_str());
     }
@@ -247,7 +260,7 @@ KernelBuilder::nand(Val a, Val b)
 Val
 KernelBuilder::andFlip(Val a, Val b)
 {
-    if (lib_.feasible(GateType::kAnd2)) {
+    if (consultFeasible(GateType::kAnd2)) {
         return gate2(GateType::kAnd2, a, b);
     }
     Val same = andSame(a, b);
@@ -268,7 +281,7 @@ KernelBuilder::andSame(Val a, Val b)
 Val
 KernelBuilder::orFlip(Val a, Val b)
 {
-    if (lib_.feasible(GateType::kOr2)) {
+    if (consultFeasible(GateType::kOr2)) {
         return gate2(GateType::kOr2, a, b);
     }
     // DeMorgan fallback: OR(a,b) = NAND(!a,!b); the NOTs flip parity

@@ -52,6 +52,22 @@ struct Val
 /** A multi-bit two's-complement value, LSB first. */
 using Word = std::vector<Val>;
 
+/**
+ * The gate-library answers a compile depended on.  Besides the
+ * placement-locality default, the builder reads its library only
+ * through feasibility queries; a second library that answers every
+ * consulted query the same way drives an identical compile.
+ */
+struct FeasibilityRecord
+{
+    static_assert(kNumGateTypes <= 16, "record holds 16 gate types");
+
+    /** Bit g set: the feasibility of GateType g was queried. */
+    std::uint16_t consulted = 0;
+    /** Bit g: the answer (meaningful only where consulted). */
+    std::uint16_t answers = 0;
+};
+
 /** Gate-level program builder for one tile. */
 class KernelBuilder
 {
@@ -66,6 +82,14 @@ class KernelBuilder
     KernelBuilder(const GateLibrary &lib, const ArrayConfig &cfg,
                   TileAddr tile, unsigned first_free_row);
 
+    /** Placement locality a builder on @p lib starts with: on when
+     *  the device has logic-line parasitics. */
+    static bool
+    defaultPlacementLocality(const GateLibrary &lib)
+    {
+        return lib.config().wireResistancePerCell > 0.0;
+    }
+
     // -- Program assembly ---------------------------------------------
 
     /** Activate a contiguous column range (clears previous set). */
@@ -79,6 +103,9 @@ class KernelBuilder
 
     /** Peak scratch rows in simultaneous use. */
     unsigned scratchHighWater() const { return rows_.highWater(); }
+
+    /** Feasibility queries made so far, with their answers. */
+    const FeasibilityRecord &feasibility() const { return feasibility_; }
 
     /**
      * Placement locality: allocate every gate's output row as close
@@ -239,8 +266,12 @@ class KernelBuilder
     void emitGate(GateType g, const std::array<RowAddr, 3> &in, int n,
                   RowAddr out);
 
+    /** The only read of gate feasibility: asks the library and
+     *  records the query in feasibility_. */
+    bool consultFeasible(GateType g);
+
     /** Pick an implementable variant: asserts feasibility. */
-    void requireFeasible(GateType g) const;
+    void requireFeasible(GateType g);
 
     /** Output-row allocation honoring the locality policy. */
     RowAddr allocOut(unsigned parity, RowAddr anchor);
@@ -252,6 +283,7 @@ class KernelBuilder
     Program program_;
     bool locality_ = false;
     bool finished_ = false;
+    FeasibilityRecord feasibility_;
     /** Row neighbourhood of recent activity: pinned operands and
      *  gate outputs update it; locality allocation gravitates to
      *  it.  Mutable because pinnedWord() is logically const. */

@@ -208,19 +208,7 @@ buildFftTrace(const GateLibrary &lib, const FftWorkload &work,
     layout.wIm = static_cast<RowAddr>(10 * work.bits);
     ButterflyResult r = buildButterflyKernel(kb, layout, work.bits);
     (void)r;
-    const Program butterfly = kb.finish();
-
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(Opcode::kNumOpcodes)>
-        mix{};
-    for (const Instruction &inst : butterfly.instructions) {
-        if (inst.op == Opcode::kHalt ||
-            inst.op == Opcode::kActivateList ||
-            inst.op == Opcode::kActivateRange) {
-            continue;
-        }
-        ++mix[static_cast<std::size_t>(inst.op)];
-    }
+    const InstrMix mix = kb.finish().bodyMix();
 
     const unsigned stages = [&] {
         unsigned s = 0;
@@ -242,12 +230,7 @@ buildFftTrace(const GateLibrary &lib, const FftWorkload &work,
     for (unsigned stage = 0; stage < stages; ++stage) {
         for (unsigned chunk = 0; chunk < chunks; ++chunk) {
             trace.append(Opcode::kActivateRange, active, active, 1);
-            for (std::size_t op = 0; op < mix.size(); ++op) {
-                if (mix[op] > 0) {
-                    trace.append(static_cast<Opcode>(op), active,
-                                 active, mix[op]);
-                }
-            }
+            trace.appendMix(mix, active, active);
             // Inter-stage shuffle: each butterfly emits two complex
             // samples (4 * bits rows) that move to their next-stage
             // columns through the row buffer.

@@ -26,6 +26,21 @@ Program::countOpcode(Opcode op) const
     return n;
 }
 
+InstrMix
+Program::bodyMix() const
+{
+    InstrMix mix{};
+    for (const Instruction &inst : instructions) {
+        if (inst.op == Opcode::kHalt ||
+            inst.op == Opcode::kActivateList ||
+            inst.op == Opcode::kActivateRange) {
+            continue;
+        }
+        ++mix[static_cast<std::size_t>(inst.op)];
+    }
+    return mix;
+}
+
 std::uint64_t
 Trace::totalInstructions() const
 {
@@ -52,6 +67,16 @@ Trace::append(Opcode op, unsigned touched_cols, unsigned active_after,
         }
     }
     blocks.push_back(TraceBlock{op, touched_cols, active_after, count});
+}
+
+void
+Trace::appendMix(const InstrMix &mix, unsigned touched_cols,
+                 unsigned active_after, std::uint64_t repeats)
+{
+    for (std::size_t op = 0; op < mix.size(); ++op) {
+        append(static_cast<Opcode>(op), touched_cols, active_after,
+               mix[op] * repeats);
+    }
 }
 
 void

@@ -17,6 +17,7 @@
 #ifndef MOUSE_COMPILE_PROGRAM_HH
 #define MOUSE_COMPILE_PROGRAM_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,10 @@
 
 namespace mouse
 {
+
+/** Instruction count per opcode. */
+using InstrMix =
+    std::array<std::uint64_t, static_cast<std::size_t>(Opcode::kNumOpcodes)>;
 
 /** A complete MOUSE program (must end with HALT). */
 struct Program
@@ -38,6 +43,10 @@ struct Program
 
     /** Count instructions with a given opcode. */
     std::size_t countOpcode(Opcode op) const;
+
+    /** Opcode histogram of the kernel body: every instruction except
+     *  HALT and column activations, which a trace prices itself. */
+    InstrMix bodyMix() const;
 };
 
 /** One run of identical-cost instructions in a compressed trace. */
@@ -64,6 +73,11 @@ struct Trace
     /** Append one block, merging with the tail when possible. */
     void append(Opcode op, unsigned touched_cols,
                 unsigned active_after, std::uint64_t count = 1);
+
+    /** Append @p repeats executions of @p mix, one block per opcode
+     *  in opcode order. */
+    void appendMix(const InstrMix &mix, unsigned touched_cols,
+                   unsigned active_after, std::uint64_t repeats = 1);
 
     /** Append another trace @p times times. */
     void appendTrace(const Trace &other, std::uint64_t times = 1);

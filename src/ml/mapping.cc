@@ -1,7 +1,8 @@
 #include "mapping.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
+#include <mutex>
 
 #include "common/logging.hh"
 
@@ -11,69 +12,130 @@ namespace mouse
 namespace
 {
 
-/** Opcode histogram of a builder-generated kernel. */
-struct InstrMix
+struct CompiledKernel
 {
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(Opcode::kNumOpcodes)>
-        counts{};
-    unsigned scratchPeak = 0;
-
-    std::uint64_t
-    total() const
-    {
-        std::uint64_t t = 0;
-        for (std::uint64_t c : counts) {
-            t += c;
-        }
-        return t;
-    }
+    InstrMix mix{};
+    FeasibilityRecord feasibility;
 };
 
 /**
- * Measure the instruction mix of a kernel by actually compiling it.
- * The builder targets a scratch-only configuration; the measured
- * counts are exact because generated code is data-independent.
+ * Compile the kernel @p spec names and count its instructions.  The
+ * builder targets a scratch-only configuration; the counts are exact
+ * because generated code is data-independent.
  */
-InstrMix
-measureMix(const GateLibrary &lib,
-           const std::function<void(KernelBuilder &)> &body)
+CompiledKernel
+compileKernel(const GateLibrary &lib, const KernelSpec &spec)
 {
     ArrayConfig cfg;
-    cfg.tileRows = 1024;
+    cfg.tileRows = spec.tileRows;
     cfg.tileCols = 1024;
     cfg.numDataTiles = 1;
     KernelBuilder kb(lib, cfg, 0, 0);
-    body(kb);
-    const Program prog = kb.finish();
-
-    InstrMix mix;
-    mix.scratchPeak = kb.scratchHighWater();
-    for (const Instruction &inst : prog.instructions) {
-        if (inst.op == Opcode::kHalt ||
-            inst.op == Opcode::kActivateList ||
-            inst.op == Opcode::kActivateRange) {
-            continue;
+    // Operand words sit on even rows, two rows per bit of the words
+    // before them.  Pinning moves the placement anchor, so operands
+    // are pinned in order, before the first gate.
+    const auto word = [&](unsigned bits_before, unsigned bits) {
+        return kb.pinnedWord(static_cast<RowAddr>(2 * bits_before),
+                             bits);
+    };
+    const unsigned a = spec.a;
+    const unsigned b = spec.b;
+    using Kind = KernelSpec::Kind;
+    switch (spec.kind) {
+      case Kind::kAndPopcount:
+      case Kind::kXnorPopcount: {
+        std::vector<Val> products;
+        products.reserve(a);
+        for (unsigned i = 0; i < a; ++i) {
+            products.push_back(
+                spec.kind == Kind::kAndPopcount
+                    ? kb.andSame(kb.pinned(0), kb.pinned(2))
+                    : kb.xnorFlip(kb.pinned(1), kb.pinned(3)));
         }
-        ++mix.counts[static_cast<std::size_t>(inst.op)];
+        kb.popcountTree(std::move(products));
+        break;
+      }
+      case Kind::kMac: {
+        const Word x = word(0, a);
+        const Word y = word(a, a);
+        const Word acc = word(2 * a, b);
+        const Word p = kb.mulUnsigned(x, y);
+        kb.add(acc, p, /*grow=*/false);
+        break;
+      }
+      case Kind::kAdd:
+      case Kind::kSub: {
+        const Word x = word(0, a);
+        const Word y = word(a, a);
+        if (spec.kind == Kind::kAdd) {
+            kb.add(x, y, /*grow=*/false);
+        } else {
+            kb.sub(x, y);
+        }
+        break;
+      }
+      case Kind::kSquare: {
+        const Word d = word(0, a);
+        kb.mulUnsigned(d, d);
+        break;
+      }
+      case Kind::kMulSigned: {
+        const Word x = word(0, a);
+        const Word y = word(a, b);
+        kb.mulSigned(x, y);
+        break;
+      }
     }
-    return mix;
+    CompiledKernel out;
+    out.mix = kb.finish().bodyMix();
+    out.feasibility = kb.feasibility();
+    return out;
 }
 
-/** Append @p repeats executions of a measured mix to the trace. */
-void
-emitMix(Trace &trace, const InstrMix &mix, unsigned touched_cols,
-        unsigned active_after, std::uint64_t repeats)
+/** One compiled kernel, reusable by any library that gives the same
+ *  placement locality and the same recorded feasibility answers. */
+struct MemoEntry
 {
-    if (repeats == 0) {
-        return;
-    }
-    for (std::size_t op = 0; op < mix.counts.size(); ++op) {
-        if (mix.counts[op] > 0) {
-            trace.append(static_cast<Opcode>(op), touched_cols,
-                         active_after, mix.counts[op] * repeats);
+    KernelSpec spec;
+    bool locality = false;
+    FeasibilityRecord feasibility;
+    InstrMix mix{};
+};
+
+struct KernelMemo
+{
+    std::mutex mutex;
+    std::vector<MemoEntry> entries;  // guarded by mutex
+};
+
+KernelMemo &
+kernelMemo()
+{
+    static KernelMemo memo;
+    return memo;
+}
+
+bool
+answersMatch(const GateLibrary &lib, const FeasibilityRecord &rec)
+{
+    for (int g = 0; g < kNumGateTypes; ++g) {
+        const unsigned bit = 1u << g;
+        if ((rec.consulted & bit) != 0 &&
+            lib.feasible(static_cast<GateType>(g)) !=
+                ((rec.answers & bit) != 0)) {
+            return false;
         }
     }
+    return true;
+}
+
+/** kernelMix() of one phase kernel, compiled into a tile of the
+ *  workload's geometry. */
+InstrMix
+phaseMix(const GateLibrary &lib, const MouseShape &shape,
+         KernelSpec::Kind kind, unsigned a, unsigned b = 0)
+{
+    return kernelMix(lib, KernelSpec{kind, a, b, shape.tileRows});
 }
 
 /** Row-buffer gather moves: @p rows rows x read+write per tile. */
@@ -104,6 +166,59 @@ bitsFor(std::uint64_t n)
 }
 
 } // namespace
+
+InstrMix
+measureKernelMix(const GateLibrary &lib, const KernelSpec &spec)
+{
+    return compileKernel(lib, spec).mix;
+}
+
+InstrMix
+kernelMix(const GateLibrary &lib, const KernelSpec &spec)
+{
+    const bool locality = KernelBuilder::defaultPlacementLocality(lib);
+    KernelMemo &memo = kernelMemo();
+    // Call with memo.mutex held.
+    const auto lookup = [&]() -> const MemoEntry * {
+        for (const MemoEntry &e : memo.entries) {
+            if (e.spec == spec && e.locality == locality &&
+                answersMatch(lib, e.feasibility)) {
+                return &e;
+            }
+        }
+        return nullptr;
+    };
+    {
+        const std::lock_guard<std::mutex> lock(memo.mutex);
+        if (const MemoEntry *hit = lookup()) {
+            return hit->mix;
+        }
+    }
+    // Compile outside the lock.  A racing thread may insert the same
+    // entry first; both compiles produce the same mix.
+    const CompiledKernel k = compileKernel(lib, spec);
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    if (const MemoEntry *hit = lookup()) {
+        return hit->mix;
+    }
+    memo.entries.push_back(MemoEntry{spec, locality, k.feasibility, k.mix});
+    return k.mix;
+}
+
+std::vector<KernelSpec>
+kernelMixSpecs()
+{
+    KernelMemo &memo = kernelMemo();
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    std::vector<KernelSpec> specs;
+    for (const MemoEntry &e : memo.entries) {
+        if (std::find(specs.begin(), specs.end(), e.spec) ==
+            specs.end()) {
+            specs.push_back(e.spec);
+        }
+    }
+    return specs;
+}
 
 SvmWorkload
 SvmWorkload::fromModel(const std::string &name, const SvmModel &model,
@@ -159,63 +274,22 @@ buildSvmTrace(const GateLibrary &lib, const SvmWorkload &work,
     const unsigned tiles_used = ceilDiv(active_mac, shape.tileCols);
 
     // -- Measured kernels ----------------------------------------------
-    InstrMix mac_mix;
-    if (binary) {
-        // Whole-column binarized MAC: k AND products reduced by a
-        // popcount tree.
-        mac_mix = measureMix(lib, [&](KernelBuilder &kb) {
-            std::vector<Val> products;
-            products.reserve(k);
-            for (unsigned i = 0; i < k; ++i) {
-                products.push_back(
-                    kb.andSame(kb.pinned(0), kb.pinned(2)));
-            }
-            Word count = kb.popcountTree(std::move(products));
-            (void)count;
-        });
-    } else {
-        // Per-element MAC: 8x8 multiply + accumulate into accBits.
-        mac_mix = measureMix(lib, [&](KernelBuilder &kb) {
-            const Word a = kb.pinnedWord(0, work.inputBits);
-            const Word b = kb.pinnedWord(
-                static_cast<RowAddr>(2 * work.inputBits),
-                work.inputBits);
-            const Word acc = kb.pinnedWord(
-                static_cast<RowAddr>(4 * work.inputBits),
-                work.accBits);
-            Word p = kb.mulUnsigned(a, b);
-            Word sum = kb.add(acc, p, /*grow=*/false);
-            (void)sum;
-        });
-    }
-    const InstrMix reduce_mix = measureMix(lib, [&](KernelBuilder &kb) {
-        const Word a = kb.pinnedWord(0, work.accBits);
-        const Word b = kb.pinnedWord(
-            static_cast<RowAddr>(2 * work.accBits), work.accBits);
-        Word s = kb.add(a, b, /*grow=*/false);
-        (void)s;
-    });
-    const InstrMix square_mix = measureMix(lib, [&](KernelBuilder &kb) {
-        const Word d = kb.pinnedWord(0, work.accBits);
-        Word sq = kb.mulUnsigned(d, d);
-        (void)sq;
-    });
-    const InstrMix coef_mix = measureMix(lib, [&](KernelBuilder &kb) {
-        const Word sq = kb.pinnedWord(0, work.squareBits);
-        const Word alpha = kb.pinnedWord(
-            static_cast<RowAddr>(2 * work.squareBits), work.coefBits);
-        Word scaled = kb.mulSigned(sq, alpha);
-        (void)scaled;
-    });
+    // Binarized MACs are whole-column: k AND products reduced by a
+    // popcount tree.  Otherwise each element costs an 8x8 multiply
+    // accumulated into accBits.
+    using Kind = KernelSpec::Kind;
+    const InstrMix mac_mix =
+        binary ? phaseMix(lib, shape, Kind::kAndPopcount, k)
+               : phaseMix(lib, shape, Kind::kMac, work.inputBits,
+                          work.accBits);
+    const InstrMix reduce_mix =
+        phaseMix(lib, shape, Kind::kAdd, work.accBits);
+    const InstrMix square_mix =
+        phaseMix(lib, shape, Kind::kSquare, work.accBits);
+    const InstrMix coef_mix = phaseMix(lib, shape, Kind::kMulSigned,
+                                       work.squareBits, work.coefBits);
     const InstrMix score_add_mix =
-        measureMix(lib, [&](KernelBuilder &kb) {
-            const Word a = kb.pinnedWord(0, work.scoreBits);
-            const Word b = kb.pinnedWord(
-                static_cast<RowAddr>(2 * work.scoreBits),
-                work.scoreBits);
-            Word s = kb.add(a, b, /*grow=*/false);
-            (void)s;
-        });
+        phaseMix(lib, shape, Kind::kAdd, work.scoreBits);
 
     // -- Trace assembly ---------------------------------------------------
     Trace trace;
@@ -240,7 +314,7 @@ buildSvmTrace(const GateLibrary &lib, const SvmWorkload &work,
 
         // Element-wise MAC phase (serial over the packed elements,
         // parallel across all active columns).
-        emitMix(trace, mac_mix, active, active, binary ? 1 : k);
+        trace.appendMix(mac_mix, active, active, binary ? 1 : k);
 
         // Gather per-SV partial sums into the SV's first column:
         // buffer-shift moves then reduction adds.
@@ -250,19 +324,19 @@ buildSvmTrace(const GateLibrary &lib, const SvmWorkload &work,
                              work.accBits,
                          tiles_used,
                          static_cast<unsigned>(units_per_batch));
-            emitMix(trace, reduce_mix,
-                    static_cast<unsigned>(units_per_batch),
-                    static_cast<unsigned>(units_per_batch),
-                    cols_per_sv - 1);
+            trace.appendMix(reduce_mix,
+                            static_cast<unsigned>(units_per_batch),
+                            static_cast<unsigned>(units_per_batch),
+                            cols_per_sv - 1);
         }
 
         // Kernel tail per SV: square, then coefficient multiply.
-        emitMix(trace, square_mix,
-                static_cast<unsigned>(units_per_batch),
-                static_cast<unsigned>(units_per_batch), 1);
-        emitMix(trace, coef_mix,
-                static_cast<unsigned>(units_per_batch),
-                static_cast<unsigned>(units_per_batch), 1);
+        trace.appendMix(square_mix,
+                        static_cast<unsigned>(units_per_batch),
+                        static_cast<unsigned>(units_per_batch));
+        trace.appendMix(coef_mix,
+                        static_cast<unsigned>(units_per_batch),
+                        static_cast<unsigned>(units_per_batch));
 
         // Class-score reduction: tree-sum the per-SV terms of each
         // classifier (log2 rounds of shift-move + add).
@@ -275,14 +349,13 @@ buildSvmTrace(const GateLibrary &lib, const SvmWorkload &work,
             live = std::max<std::uint64_t>(live / 2, work.numClasses);
             emitRowMoves(trace, shape, work.scoreBits, tiles_used,
                          static_cast<unsigned>(live));
-            emitMix(trace, score_add_mix,
-                    static_cast<unsigned>(live),
-                    static_cast<unsigned>(live), 1);
+            trace.appendMix(score_add_mix, static_cast<unsigned>(live),
+                            static_cast<unsigned>(live));
         }
     }
     // Arg-max: pairwise score comparisons in the score columns.
-    emitMix(trace, score_add_mix, work.numClasses, work.numClasses,
-            work.numClasses - 1);
+    trace.appendMix(score_add_mix, work.numClasses, work.numClasses,
+                    work.numClasses - 1);
 
     if (info) {
         info->elementsPerColumn = k;
@@ -316,16 +389,9 @@ buildBnnTrace(const GateLibrary &lib, const BnnShape &net,
     // The per-column MAC kernel depends only on the slice width; use
     // the full-k version (boundary columns are cheaper; charging the
     // full slice is slightly conservative).
-    const InstrMix mac_mix = measureMix(lib, [&](KernelBuilder &kb) {
-        std::vector<Val> products;
-        products.reserve(k);
-        for (unsigned i = 0; i < k; ++i) {
-            products.push_back(
-                kb.xnorFlip(kb.pinned(1), kb.pinned(3)));
-        }
-        Word count = kb.popcountTree(std::move(products));
-        (void)count;
-    });
+    using Kind = KernelSpec::Kind;
+    const InstrMix mac_mix =
+        phaseMix(lib, shape, Kind::kXnorPopcount, k);
 
     std::vector<unsigned> widths = net.hiddenWidths;
     widths.push_back(net.numClasses);
@@ -355,6 +421,8 @@ buildBnnTrace(const GateLibrary &lib, const BnnShape &net,
         const unsigned tiles = ceilDiv(chunk_cols, shape.tileCols);
         const auto active = static_cast<unsigned>(chunk_cols);
         const unsigned acc_bits = bitsFor(in_bits);
+        const InstrMix thresh_mix =
+            phaseMix(lib, shape, Kind::kSub, acc_bits);
         peak_cols = std::max(peak_cols, chunk_cols);
         data_cols += cols;
 
@@ -367,7 +435,7 @@ buildBnnTrace(const GateLibrary &lib, const BnnShape &net,
                          active);
 
             // XNOR + popcount-tree MAC in every column.
-            emitMix(trace, mac_mix, active, active, 1);
+            trace.appendMix(mac_mix, active, active);
 
             // Gather per-neuron partial counts and sum them.
             if (cols_per_neuron > 1) {
@@ -376,30 +444,13 @@ buildBnnTrace(const GateLibrary &lib, const BnnShape &net,
                                  cols_per_neuron - 1) *
                                  acc_bits,
                              tiles, out_chunk);
-                const InstrMix add_mix =
-                    measureMix(lib, [&](KernelBuilder &kb) {
-                        const Word a = kb.pinnedWord(0, acc_bits);
-                        const Word b = kb.pinnedWord(
-                            static_cast<RowAddr>(2 * acc_bits),
-                            acc_bits);
-                        Word s = kb.add(a, b, false);
-                        (void)s;
-                    });
-                emitMix(trace, add_mix, out_chunk, out_chunk,
-                        cols_per_neuron - 1);
+                trace.appendMix(
+                    phaseMix(lib, shape, Kind::kAdd, acc_bits),
+                    out_chunk, out_chunk, cols_per_neuron - 1);
             }
 
             // Threshold (batch-norm fold): count - threshold.
-            const InstrMix thresh_mix =
-                measureMix(lib, [&](KernelBuilder &kb) {
-                    const Word count = kb.pinnedWord(0, acc_bits);
-                    const Word thresh = kb.pinnedWord(
-                        static_cast<RowAddr>(2 * acc_bits),
-                        acc_bits);
-                    Word diff = kb.sub(count, thresh);
-                    (void)diff;
-                });
-            emitMix(trace, thresh_mix, out_chunk, out_chunk, 1);
+            trace.appendMix(thresh_mix, out_chunk, out_chunk);
         }
 
         in_bits = out;

@@ -16,7 +16,8 @@
  * a representative column and counting the instructions it emits.
  * The workload trace is those measured mixes replicated by the
  * layout's phase counts — so the performance model and the bit-exact
- * functional compiler can never drift apart.
+ * functional compiler can never drift apart.  Each distinct kernel
+ * is compiled once per process (kernelMix).
  *
  * Fixed-point truncation: accumulators use the bit widths below
  * rather than full-precision growth (dot products truncate to
@@ -28,6 +29,7 @@
 #define MOUSE_ML_MAPPING_HH
 
 #include <string>
+#include <vector>
 
 #include "compile/builder.hh"
 #include "ml/bnn.hh"
@@ -85,6 +87,65 @@ struct SvmWorkload
                                  const SvmModel &model, unsigned dim,
                                  unsigned input_bits);
 };
+
+/**
+ * Identity of one measured trace kernel: its operation, operand
+ * widths and the tile rows it is compiled into.  With the gate
+ * library it determines the compiled instructions exactly.
+ */
+struct KernelSpec
+{
+    enum class Kind : std::uint8_t
+    {
+        /** a AND products reduced by a popcount tree (binarized
+         *  SVM MAC). */
+        kAndPopcount,
+        /** a x a-bit unsigned multiply added into a b-bit
+         *  accumulator. */
+        kMac,
+        /** a-bit + a-bit, no growth (reductions and score adds). */
+        kAdd,
+        /** a-bit unsigned square. */
+        kSquare,
+        /** a-bit x b-bit signed multiply. */
+        kMulSigned,
+        /** a XNOR products reduced by a popcount tree (BNN MAC). */
+        kXnorPopcount,
+        /** a-bit - a-bit (BNN threshold). */
+        kSub,
+    };
+
+    Kind kind = Kind::kAdd;
+    /** Operand widths (or product count), as Kind describes. */
+    unsigned a = 0;
+    unsigned b = 0;
+    /** Rows of the tile the kernel is compiled into: the workload's
+     *  tile height, so wide popcounts of tall tiles fit. */
+    unsigned tileRows = 1024;
+
+    bool operator==(const KernelSpec &) const = default;
+};
+
+/**
+ * Compile the kernel @p spec names against @p lib and count the
+ * instructions of its body (Program::bodyMix).  Compiles on every
+ * call.
+ */
+InstrMix measureKernelMix(const GateLibrary &lib,
+                          const KernelSpec &spec);
+
+/**
+ * measureKernelMix(), compiled once per process.  An entry records
+ * the spec, the placement locality and the feasibility queries the
+ * builder made with their answers (FeasibilityRecord); it is reused
+ * for any library that answers those queries the same way, so the
+ * result always equals a fresh compile.  Thread-safe.
+ */
+InstrMix kernelMix(const GateLibrary &lib, const KernelSpec &spec);
+
+/** The distinct specs kernelMix() has compiled in this process, in
+ *  first-compile order. */
+std::vector<KernelSpec> kernelMixSpecs();
 
 /** Derived layout facts, reported for documentation and tests. */
 struct MappingInfo

@@ -408,6 +408,27 @@ TEST_P(BuilderTech, LogicAndArithmeticAcrossTechnologies)
     }
 }
 
+TEST_P(BuilderTech, FeasibilityRecordHoldsConsultedAnswers)
+{
+    BuilderHarness h(GetParam());
+    KernelBuilder kb = h.makeBuilder(40);
+    EXPECT_EQ(kb.feasibility().consulted, 0u);
+    const auto bit = [](GateType g) {
+        return 1u << static_cast<unsigned>(g);
+    };
+    kb.nand(kb.pinned(0), kb.pinned(2));
+    kb.orFlip(kb.pinned(0), kb.pinned(2));
+    const FeasibilityRecord rec = kb.feasibility();
+    for (GateType g : {GateType::kNand2, GateType::kOr2}) {
+        EXPECT_NE(rec.consulted & bit(g), 0u) << gateName(g);
+        EXPECT_EQ((rec.answers & bit(g)) != 0, h.lib_.feasible(g))
+            << gateName(g);
+    }
+    // Gates the kernel never asked about stay out of the record.
+    EXPECT_EQ(rec.consulted & bit(GateType::kMaj3), 0u);
+    EXPECT_EQ(rec.answers & ~rec.consulted, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTechs, BuilderTech,
                          ::testing::Values(TechConfig::ModernStt,
                                            TechConfig::ProjectedStt,

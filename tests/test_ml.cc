@@ -6,11 +6,14 @@
  * compiled in-array program.
  */
 
+#include <algorithm>
 #include <fstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "controller/controller.hh"
+#include "exp/workloads.hh"
 #include "ml/bnn.hh"
 #include "ml/dataset.hh"
 #include "ml/mapping.hh"
@@ -345,6 +348,218 @@ INSTANTIATE_TEST_SUITE_P(AllTechs, MappingTech,
                                  return "ProjectedShe";
                              }
                          });
+
+// ---------------------------------------------------------------------
+// Measured kernel mixes: the process-wide memo behind the trace
+// builders must be indistinguishable from compiling every time.
+// ---------------------------------------------------------------------
+
+/** The gate libraries the memo must serve: every technology at
+ *  three margins, plus one with logic-line parasitics (placement
+ *  locality on). */
+std::vector<GateLibrary>
+memoLibraries()
+{
+    std::vector<GateLibrary> libs;
+    for (TechConfig tech : {TechConfig::ModernStt,
+                            TechConfig::ProjectedStt,
+                            TechConfig::ProjectedShe}) {
+        for (double margin : {0.0, 0.02, 0.05}) {
+            libs.emplace_back(makeDeviceConfig(tech), margin);
+        }
+    }
+    libs.emplace_back(
+        withParasitics(makeDeviceConfig(TechConfig::ModernStt), 0.5));
+    return libs;
+}
+
+std::vector<GateLibrary>
+techLibraries()
+{
+    std::vector<GateLibrary> libs;
+    for (TechConfig tech : {TechConfig::ModernStt,
+                            TechConfig::ProjectedStt,
+                            TechConfig::ProjectedShe}) {
+        libs.emplace_back(makeDeviceConfig(tech));
+    }
+    return libs;
+}
+
+void
+expectSameTrace(const Trace &a, const Trace &b, const std::string &what)
+{
+    ASSERT_EQ(a.blocks.size(), b.blocks.size()) << what;
+    for (std::size_t i = 0; i < a.blocks.size(); ++i) {
+        const TraceBlock &x = a.blocks[i];
+        const TraceBlock &y = b.blocks[i];
+        EXPECT_TRUE(x.op == y.op && x.touchedCols == y.touchedCols &&
+                    x.activeColsAfter == y.activeColsAfter &&
+                    x.count == y.count)
+            << what << " block " << i;
+    }
+}
+
+/** FNV-1a over every block field. */
+std::uint64_t
+traceDigest(const Trace &trace)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const TraceBlock &b : trace.blocks) {
+        for (std::uint64_t v :
+             {static_cast<std::uint64_t>(b.op),
+              static_cast<std::uint64_t>(b.touchedCols),
+              static_cast<std::uint64_t>(b.activeColsAfter), b.count}) {
+            for (int i = 0; i < 8; ++i) {
+                h ^= (v >> (8 * i)) & 0xff;
+                h *= 1099511628211ull;
+            }
+        }
+    }
+    return h;
+}
+
+TEST(KernelMemo, ConcurrentTraceBuildsMatchSerialBuilds)
+{
+    const std::vector<GateLibrary> libs = techLibraries();
+    const auto &benches = exp::paperBenchmarks();
+    const std::size_t n = libs.size() * benches.size();
+
+    // Cold memo (this is the first test in the file to build a
+    // trace): eight threads race to fill it.
+    constexpr int kThreads = 8;
+    std::vector<std::vector<Trace>> parallel(kThreads,
+                                             std::vector<Trace>(n));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = 0; i < n; ++i) {
+                parallel[t][i] = exp::traceFor(
+                    libs[i / benches.size()], benches[i % benches.size()]);
+            }
+        });
+    }
+    for (std::thread &th : threads) {
+        th.join();
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const Trace serial = exp::traceFor(libs[i / benches.size()],
+                                           benches[i % benches.size()]);
+        for (int t = 0; t < kThreads; ++t) {
+            expectSameTrace(parallel[t][i], serial,
+                            benches[i % benches.size()].name);
+        }
+    }
+}
+
+TEST(KernelMemo, PaperTracesArePinned)
+{
+    // Digests of the traces the mapping produced when every kernel
+    // was compiled afresh per call; no gate library changes them.
+    struct Pinned
+    {
+        const char *bench;
+        std::size_t blocks;
+        std::uint64_t insts;
+        std::uint64_t digest;
+    };
+    const Pinned pinned[] = {
+        {"SVM MNIST", 107, 611459, 0xc65a69bba421a71bull},
+        {"SVM MNIST (Bin)", 107, 85647, 0xf352ec45c5266f11ull},
+        {"SVM HAR", 93, 268403, 0x6d797498047d5dd7ull},
+        {"SVM ADULT", 93, 79144, 0x1e3810dc8c14f073ull},
+        {"BNN FINN MNIST", 80, 55274, 0x3f7d3daae4c439f3ull},
+        {"BNN FP-BNN MNIST", 80, 122492, 0x70f0522f580e0e5bull},
+    };
+    const auto &benches = exp::paperBenchmarks();
+    ASSERT_EQ(benches.size(), std::size(pinned));
+    for (const GateLibrary &lib : memoLibraries()) {
+        for (std::size_t i = 0; i < benches.size(); ++i) {
+            const Trace t = exp::traceFor(lib, benches[i]);
+            EXPECT_EQ(benches[i].name, pinned[i].bench);
+            EXPECT_EQ(t.blocks.size(), pinned[i].blocks)
+                << pinned[i].bench;
+            EXPECT_EQ(t.totalInstructions(), pinned[i].insts)
+                << pinned[i].bench;
+            EXPECT_EQ(traceDigest(t), pinned[i].digest)
+                << pinned[i].bench << " on " << lib.config().name();
+        }
+    }
+}
+
+TEST(KernelMemo, MemoizedMixEqualsFreshCompileOnEveryLibrary)
+{
+    for (const GateLibrary &lib : techLibraries()) {
+        for (const exp::Benchmark &bench : exp::paperBenchmarks()) {
+            exp::traceFor(lib, bench);
+        }
+    }
+    const std::vector<KernelSpec> specs = kernelMixSpecs();
+    using Kind = KernelSpec::Kind;
+    for (Kind kind : {Kind::kAndPopcount, Kind::kMac, Kind::kAdd,
+                      Kind::kSquare, Kind::kMulSigned,
+                      Kind::kXnorPopcount, Kind::kSub}) {
+        EXPECT_TRUE(std::any_of(specs.begin(), specs.end(),
+                                [&](const KernelSpec &s) {
+                                    return s.kind == kind;
+                                }))
+            << "paper benchmarks use kind " << static_cast<int>(kind);
+    }
+
+    // Two interleaved visiting orders, so a lookup can be served by
+    // an entry another library filled.
+    const std::vector<GateLibrary> libs = memoLibraries();
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t si = 0; si < specs.size(); ++si) {
+            const KernelSpec &spec =
+                specs[pass == 0 ? si : specs.size() - 1 - si];
+            for (std::size_t li = 0; li < libs.size(); ++li) {
+                const GateLibrary &lib =
+                    libs[pass == 0 ? li : libs.size() - 1 - li];
+                EXPECT_EQ(kernelMix(lib, spec),
+                          measureKernelMix(lib, spec))
+                    << "kind " << static_cast<int>(spec.kind) << " a "
+                    << spec.a << " b " << spec.b << " on "
+                    << lib.config().name();
+            }
+        }
+    }
+}
+
+TEST(KernelMemo, TallTilesBuildBnnAndBinarizedSvmTraces)
+{
+    // Kernels compile into a tile of the workload's own height, so
+    // the wider popcounts of tall tiles fit.
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
+    const auto &benches = exp::paperBenchmarks();
+    const auto bin = std::find_if(
+        benches.begin(), benches.end(), [](const exp::Benchmark &b) {
+            return b.kind == exp::WorkloadKind::Svm &&
+                   b.svm.inputBits == 1;
+        });
+    ASSERT_NE(bin, benches.end());
+    for (unsigned rows : {2048u, 4096u}) {
+        MouseShape shape;
+        shape.tileRows = rows;
+        shape.numDataTiles = 64;
+
+        MappingInfo bnn_info;
+        const Trace bnn =
+            buildBnnTrace(lib, finnShape(), shape, &bnn_info);
+        EXPECT_EQ(bnn_info.elementsPerColumn, (rows - 64) / 3);
+        EXPECT_GT(bnn.totalInstructions(), 0u);
+
+        MappingInfo svm_info;
+        const Trace svm = buildSvmTrace(lib, bin->svm, shape, &svm_info);
+        EXPECT_EQ(svm_info.elementsPerColumn,
+                  std::min((rows - 72) / 3, bin->svm.dim));
+        EXPECT_GT(svm.totalInstructions(), 0u);
+
+        const KernelSpec mac{KernelSpec::Kind::kXnorPopcount,
+                             bnn_info.elementsPerColumn, 0, rows};
+        EXPECT_EQ(kernelMix(lib, mac), measureKernelMix(lib, mac));
+    }
+}
 
 // ---------------------------------------------------------------------
 // End-to-end: the compiled kernel equals software inference, bit for

@@ -120,6 +120,22 @@ class LintFixtureCorpus(unittest.TestCase):
         self.assertNotIn("src/common/json.cc", self.by_file)
         self.assertNotIn("src/core/good_json_calls.cc", self.by_file)
 
+    def test_builder_feasible_bad(self):
+        path = "src/compile/bad_builder_feasible.cc"
+        # The reads outside the helper, including one inside an
+        # if-body that calls the helper; the read inside the helper
+        # and the comment on line 3 are silent.
+        rules = [(f["line"], f["rule"]) for f in self.by_file[path]]
+        self.assertEqual(rules, [(15, "builder-feasible"),
+                                 (20, "builder-feasible"),
+                                 (22, "builder-feasible")])
+
+    def test_builder_feasible_allowed_outside_compile(self):
+        self.assertNotIn("src/ml/allowed_builder_feasible.cc",
+                         self.by_file)
+        self.assertNotIn("src/compile/good_builder_feasible.cc",
+                         self.by_file)
+
     def test_good_files_are_silent(self):
         good = [p for p in self.by_file
                 if "/good_" in p or "/allowed_" in p
@@ -164,7 +180,7 @@ class LintReportSchema(unittest.TestCase):
         self.assertEqual(rule_ids, {
             "unordered-iteration", "host-clock", "schema-constants",
             "obs-hook-args", "float-accumulate", "source-power",
-            "sonic-model", "json-helpers"})
+            "sonic-model", "json-helpers", "builder-feasible"})
         for x in r["rules"]:
             self.assertTrue(x["description"])
 

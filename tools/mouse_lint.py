@@ -34,6 +34,10 @@ Rules (see docs/STATIC_ANALYSIS.md for the full rationale):
                         src/common/json.cc — every document formats
                         numbers and strings through json::num and
                         json::escape.
+  builder-feasible      In src/compile, gate feasibility is read only
+                        inside KernelBuilder::consultFeasible, which
+                        records each query for the measured-kernel
+                        memo's key (src/ml/mapping.cc).
   float-accumulate      No float/double accumulation via
                         std::accumulate / std::reduce /
                         std::transform_reduce in src/exp, src/inject,
@@ -502,6 +506,51 @@ def check_json_helpers(sf, findings):
                 "json-helpers", sf.relpath, i,
                 "private JSON string escaper; call json::escape() "
                 "(common/json.hh)", sf.raw_lines[i - 1]))
+
+
+BUILDER_DIRS = ("src/compile",)
+FEASIBLE_READ_RE = re.compile(r"(?:\.|->)\s*feasible(?:Gates)?\s*\(")
+# A definition of the recording helper starts its line (after an
+# optional return type), which a call such as
+# `if (consultFeasible(g)) {` does not.
+FEASIBLE_HELPER_DEF_RE = re.compile(
+    r"^[ \t]*(?:bool\s+)?(?:\w+::)?consultFeasible\s*\([^()]*\)"
+    r"\s*(?:const\s*)?\{", re.M)
+
+
+def brace_body(text, open_brace):
+    """(start, end) offsets of the block whose '{' is at
+    TEXT[open_brace], or the rest of TEXT if it never closes."""
+    depth = 0
+    for i in range(open_brace, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return open_brace, i
+    return open_brace, len(text)
+
+
+@rule("builder-feasible",
+      "in src/compile, gate feasibility is read only inside "
+      "KernelBuilder::consultFeasible, which records each query: the "
+      "measured-kernel memo keys on those records, so an unrecorded "
+      "read could serve one library's kernel to another")
+def check_builder_feasible(sf, findings):
+    if not under(sf.relpath, BUILDER_DIRS):
+        return
+    helpers = [brace_body(sf.code, m.end() - 1)
+               for m in FEASIBLE_HELPER_DEF_RE.finditer(sf.code)]
+    for m in FEASIBLE_READ_RE.finditer(sf.code):
+        if any(lo < m.start() < hi for lo, hi in helpers):
+            continue
+        line = sf.code.count("\n", 0, m.start()) + 1
+        findings.append(Finding(
+            "builder-feasible", sf.relpath, line,
+            "gate feasibility read outside consultFeasible(); route "
+            "it through the recording helper so the kernel memo's "
+            "key sees it", sf.raw_lines[line - 1]))
 
 
 # -- File discovery ---------------------------------------------------
