@@ -89,6 +89,27 @@ TraceSink::sample(double timeS, double capVoltage,
 }
 
 void
+TraceSink::repeatEvents(const Mark &since, std::uint64_t times,
+                        double shiftS)
+{
+    const std::size_t end = events_.size();
+    const std::uint64_t perCopy =
+        (end - since.events) + (droppedEvents_ - since.dropped);
+    for (std::uint64_t j = 1; j <= times; ++j) {
+        if (events_.size() >= maxEvents_) {
+            droppedEvents_ += perCopy * (times - j + 1);
+            return;
+        }
+        const double shiftUs = static_cast<double>(j) * shiftS * 1e6;
+        for (std::size_t i = since.events; i < end; ++i) {
+            TraceEvent e = events_[i];
+            e.tsUs += shiftUs;
+            push(std::move(e));
+        }
+    }
+}
+
+void
 TraceSink::mergeFrom(const TraceSink &other, std::uint32_t pid)
 {
     events_.reserve(events_.size() + other.events_.size());

@@ -100,6 +100,25 @@ class TraceSink
         return samples_;
     }
 
+    /** Where the event buffer stands; repeatEvents() copies what
+     *  was recorded after it. */
+    struct Mark
+    {
+        std::size_t events = 0;
+        std::uint64_t dropped = 0;
+    };
+
+    Mark mark() const { return {events_.size(), droppedEvents_}; }
+
+    /**
+     * Append @p times more copies of the events recorded since
+     * @p since, copy j shifted j * @p shiftS seconds later: what a
+     * simulator stepping over identical cycles would have emitted by
+     * running them.  The event cap applies as for new events.
+     */
+    void repeatEvents(const Mark &since, std::uint64_t times,
+                      double shiftS);
+
     /** Events/samples discarded because a buffer cap was hit. */
     std::uint64_t droppedEvents() const { return droppedEvents_; }
     std::uint64_t droppedSamples() const { return droppedSamples_; }

@@ -1,7 +1,11 @@
 #include "simulator.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
+#include <type_traits>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -137,7 +141,8 @@ class SimProbe
         if (dead_ != nullptr) {
             dead_->increment();
             outages_->increment();
-            burstInstr_->sample(static_cast<double>(burst_));
+            lastBurst_ = static_cast<double>(burst_);
+            burstInstr_->sample(lastBurst_);
         }
         burst_ = 0;
         offSince_ = t + attemptDur;
@@ -170,7 +175,8 @@ class SimProbe
         if (recharges_ != nullptr) {
             recharges_->increment();
             if (offSince_ >= 0.0) {
-                outageDur_->sample(t - offSince_);
+                lastOutage_ = t - offSince_;
+                outageDur_->sample(lastOutage_);
             }
         }
         if (wantsEvents() && offSince_ >= 0.0) {
@@ -201,7 +207,7 @@ class SimProbe
         }
     }
 
-    /** Waveform sample, rate-limited to the configured period. */
+    /** Observe the buffer voltage and offer a waveform sample. */
     void
     maybeSample(Seconds t, Volts v, Watts p)
     {
@@ -209,13 +215,10 @@ class SimProbe
             vMin_->observe(v);
             vMax_->observe(v);
         }
-        if (!wantsWaveform() ||
-            (lastSample_ >= 0.0 &&
-             t - lastSample_ < cfg_.waveformPeriod)) {
-            return;
+        if (recordCycle_) {
+            cycleSamples_.push_back({t, v, p});
         }
-        lastSample_ = t;
-        sink_->sample(t, v, p);
+        emitSample(t, v, p);
     }
 
     /**
@@ -265,6 +268,53 @@ class SimProbe
                 maybeSample(t0 + from, vFrom, p);
             }
             maybeSample(t0 + at, volts(at), p);
+        }
+    }
+
+    /** A restart point: the cycle a later repeatCycles() copies
+     *  starts here. */
+    void
+    markRestart()
+    {
+        if (reg_ != nullptr) {
+            const auto counters = cycleCounters();
+            for (std::size_t i = 0; i < counters.size(); ++i) {
+                counterMark_[i] = counters[i]->value();
+            }
+        }
+        if (sink_ != nullptr) {
+            sinkMark_ = sink_->mark();
+        }
+        cycleSamples_.clear();
+        recordCycle_ = wantsWaveform();
+    }
+
+    /**
+     * The cycle since markRestart() happens @p k more times, each
+     * @p dt after the one before: counters gain k times what the
+     * cycle added, its outage and burst are sampled with weight k,
+     * and its events and waveform samples repeat k times, shifted.
+     */
+    void
+    repeatCycles(std::uint64_t k, Seconds dt)
+    {
+        if (reg_ != nullptr) {
+            const auto counters = cycleCounters();
+            for (std::size_t i = 0; i < counters.size(); ++i) {
+                *counters[i] += k * (counters[i]->value() -
+                                     counterMark_[i]);
+            }
+            outageDur_->sample(lastOutage_, k);
+            burstInstr_->sample(lastBurst_, k);
+        }
+        if (sink_ != nullptr) {
+            sink_->repeatEvents(sinkMark_, k, dt);
+        }
+        for (std::uint64_t j = 1; j <= k; ++j) {
+            const Seconds shift = static_cast<double>(j) * dt;
+            for (const SampleCall &c : cycleSamples_) {
+                emitSample(c.t + shift, c.v, c.p);
+            }
         }
     }
 
@@ -357,6 +407,34 @@ class SimProbe
     }
 
   private:
+    /** One maybeSample() call, kept to replay a repeated cycle. */
+    struct SampleCall
+    {
+        Seconds t;
+        Volts v;
+        Watts p;
+    };
+
+    /** The counters one outage cycle moves. */
+    std::array<obs::Counter *, 5>
+    cycleCounters() const
+    {
+        return {committed_, dead_, outages_, restores_, recharges_};
+    }
+
+    /** Waveform sample, rate-limited to the configured period. */
+    void
+    emitSample(Seconds t, Volts v, Watts p)
+    {
+        if (!wantsWaveform() ||
+            (lastSample_ >= 0.0 &&
+             t - lastSample_ < cfg_.waveformPeriod)) {
+            return;
+        }
+        lastSample_ = t;
+        sink_->sample(t, v, p);
+    }
+
     obs::TraceConfig cfg_{};
     obs::StatRegistry *reg_ = nullptr;
     obs::TraceSink *sink_ = nullptr;
@@ -374,6 +452,15 @@ class SimProbe
     /** Start of the current off period; -1 while powered. */
     Seconds offSince_ = -1.0;
     Seconds lastSample_ = -1.0;
+    /** The last outage's length and the burst before it. */
+    Seconds lastOutage_ = 0.0;
+    double lastBurst_ = 0.0;
+    /** Counter values and sink position at the last restart. */
+    std::array<std::uint64_t, 5> counterMark_{};
+    obs::TraceSink::Mark sinkMark_{};
+    /** maybeSample() calls since the last restart (waveform on). */
+    std::vector<SampleCall> cycleSamples_;
+    bool recordCycle_ = false;
 };
 
 /** Shared harvesting-loop state. */
@@ -439,6 +526,39 @@ struct HarvestEnv
     /** Absolute simulation time (for time-varying sources). */
     Seconds now = 0.0;
 };
+
+/** The harvested trace loop just after a restart: recharged to
+ *  vHigh, restore and replay done, nothing uncheckpointed. */
+struct RestartPoint
+{
+    Volts voltage;
+    Seconds now;
+    RunStats stats;
+};
+
+/** Add @p k more copies of everything @p stats gained since
+ *  @p from. */
+void
+repeatGain(RunStats &stats, const RunStats &from, std::uint64_t k)
+{
+    const auto repeat = [&](auto RunStats::*field) {
+        using T = std::remove_reference_t<decltype(stats.*field)>;
+        stats.*field +=
+            static_cast<T>(k) * (stats.*field - from.*field);
+    };
+    repeat(&RunStats::instructionsCommitted);
+    repeat(&RunStats::instructionsDead);
+    repeat(&RunStats::outages);
+    repeat(&RunStats::activeTime);
+    repeat(&RunStats::deadTime);
+    repeat(&RunStats::restoreTime);
+    repeat(&RunStats::chargingTime);
+    repeat(&RunStats::computeEnergy);
+    repeat(&RunStats::backupEnergy);
+    repeat(&RunStats::deadEnergy);
+    repeat(&RunStats::restoreEnergy);
+    repeat(&RunStats::idleEnergy);
+}
 
 } // namespace
 
@@ -548,6 +668,7 @@ runHarvestedTrace(const Trace &trace, const EnergyModel &energy,
             env.converter.bufferEnergyFor(cost.total());
         std::uint64_t remaining = blk.count;
         unsigned consecutive_failures = 0;
+        std::optional<RestartPoint> last;
         while (remaining > 0) {
             const Joules avail = env.available();
             // The source keeps trickling into the buffer while MOUSE
@@ -642,6 +763,37 @@ runHarvestedTrace(const Trace &trace, const EnergyModel &energy,
                     "capacitor",
                     env.cap.energyAbove(env.vLow), buffer_cost);
             }
+
+            // A restart point.  The cycle to the next one depends
+            // only on the buffer voltage here and the source power,
+            // so if the last restart in this block left the same
+            // voltage, the cycle since then repeats exactly while the
+            // source holds still: step over whole copies of it, but
+            // leave the block's last burst to the loop
+            // (docs/HARVESTING.md, "Outage cycles in closed form").
+            if (last && last->voltage == env.cap.voltage() &&
+                stats.instructionsCommitted >
+                    last->stats.instructionsCommitted) {
+                const std::uint64_t f =
+                    stats.instructionsCommitted -
+                    last->stats.instructionsCommitted;
+                const Seconds dt = env.now - last->now;
+                const double inSegment = std::floor(
+                    (env.source.nextChange(last->now) - env.now) /
+                    dt);
+                const std::uint64_t k =
+                    static_cast<std::uint64_t>(std::clamp(
+                        inSegment, 0.0,
+                        static_cast<double>((remaining - 1) / f)));
+                if (k > 0) {
+                    repeatGain(stats, last->stats, k);
+                    env.advance(dt * static_cast<double>(k));
+                    remaining -= k * f;
+                    MOUSE_OBS_HOOK(telem, probe.repeatCycles(k, dt));
+                }
+            }
+            last = RestartPoint{env.cap.voltage(), env.now, stats};
+            MOUSE_OBS_HOOK(telem, probe.markRestart());
         }
     }
     stats.idleEnergy += energy.idlePower() * stats.activeTime;

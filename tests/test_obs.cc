@@ -15,6 +15,7 @@
 #include "core/accelerator.hh"
 #include "exp/names.hh"
 #include "exp/runner.hh"
+#include "exp/workloads.hh"
 #include "obs/metrics_hub.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace_sink.hh"
@@ -327,6 +328,30 @@ TEST(TraceSink, AppendFromRespectsCapsAndCarriesDropCounts)
     EXPECT_EQ(capped.events().size(), 2u);
     EXPECT_EQ(capped.droppedEvents(), 2u);
     EXPECT_TRUE(validJson(capped.toChromeJson()));
+}
+
+TEST(TraceSink, RepeatEventsShiftsCopiesAndCountsDrops)
+{
+    obs::TraceSink sink(7, 1);
+    sink.instant("before", "t", 0.0);
+    const obs::TraceSink::Mark mark = sink.mark();
+    sink.complete("outage", "power", 1e-6, 2e-6);
+    sink.instant("power_on", "power", 3e-6);
+    sink.repeatEvents(mark, 2, 5e-6);
+    ASSERT_EQ(sink.events().size(), 7u);
+    EXPECT_EQ(sink.events()[3].name, "outage");
+    EXPECT_DOUBLE_EQ(sink.events()[3].tsUs, 6.0);
+    EXPECT_DOUBLE_EQ(sink.events()[3].durUs, 2.0);
+    EXPECT_DOUBLE_EQ(sink.events()[6].tsUs, 13.0);
+    EXPECT_EQ(sink.droppedEvents(), 0u);
+    // At the cap every further copy counts as dropped, including
+    // the events the repeated cycle itself already lost.
+    const obs::TraceSink::Mark full = sink.mark();
+    sink.instant("lost", "t", 14e-6);
+    sink.repeatEvents(full, 3, 1e-6);
+    EXPECT_EQ(sink.events().size(), 7u);
+    EXPECT_EQ(sink.droppedEvents(), 4u);
+    EXPECT_TRUE(validJson(sink.toChromeJson()));
 }
 
 TEST(TraceSink, WaveformCsvRoundTrips)
@@ -707,6 +732,70 @@ TEST(Telemetry, StatsTreeMatchesRunStatsTotals)
               committed);
     EXPECT_EQ(res.stats->findCounter("sim.outage.count")->value(),
               outages);
+}
+
+TEST(Telemetry, SkippedOutageCyclesCountOncePerOutage)
+{
+    // Most of this run's outage cycles are stepped over in closed
+    // form (docs/HARVESTING.md); the stats must still count every
+    // outage once, and the event trace must hold one of each.
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ModernStt));
+    const EnergyModel energy(lib);
+    const Trace trace =
+        exp::traceFor(lib, exp::paperBenchmarks()[0]);  // SVM MNIST
+    HarvestConfig harvest;
+    harvest.source = SourceSpec::constant(60e-6);
+
+    obs::TraceConfig cfg;
+    cfg.stats = true;
+    obs::Telemetry telem = obs::Telemetry::make(cfg);
+    const RunStats run =
+        runHarvestedTrace(trace, energy, harvest, &telem);
+    ASSERT_EQ(run.outages, 5229u);
+    const obs::StatRegistry &reg = *telem.stats;
+    const auto count = [&](const char *name) {
+        return reg.findCounter(name)->value();
+    };
+    EXPECT_EQ(count("sim.outage.count"), run.outages);
+    EXPECT_EQ(count("sim.restore.count"), run.outages);
+    // One more recharge than outages: the initial fill from empty.
+    EXPECT_EQ(count("harvest.cap.recharges"), run.outages + 1);
+    EXPECT_EQ(count("sim.instr.committed"), run.instructionsCommitted);
+    EXPECT_EQ(count("sim.instr.dead"), run.instructionsDead);
+    const obs::Histogram &outage =
+        *reg.findHistogram("sim.outage.duration_s");
+    EXPECT_EQ(outage.count(), run.outages);
+    // Its durations add up to the charging time after the first fill.
+    const DeviceConfig &dev = energy.config();
+    const Seconds firstFill = 0.5 * dev.bufferCapacitance *
+                              dev.capVoltageHigh * dev.capVoltageHigh /
+                              60e-6;
+    EXPECT_NEAR(outage.sum(), run.chargingTime - firstFill,
+                1e-9 * run.chargingTime);
+    // One burst sample per outage plus the run's final burst.
+    EXPECT_EQ(reg.findHistogram("sim.burst.instructions")->count(),
+              run.outages + 1);
+
+    cfg.events = true;
+    obs::Telemetry traced = obs::Telemetry::make(cfg);
+    runHarvestedTrace(trace, energy, harvest, &traced);
+    std::uint64_t outages = 0;
+    std::uint64_t restores = 0;
+    double lastStart = -1.0;
+    for (const obs::TraceEvent &e : traced.sink->events()) {
+        if (e.name == "restore") {
+            ++restores;
+        }
+        if (e.name != "outage") {
+            continue;
+        }
+        ++outages;
+        EXPECT_GT(e.tsUs, lastStart);
+        lastStart = e.tsUs + e.durUs;
+    }
+    EXPECT_EQ(outages, run.outages);
+    EXPECT_EQ(restores, run.outages);
+    EXPECT_EQ(traced.sink->droppedEvents(), 0u);
 }
 
 } // namespace

@@ -195,7 +195,7 @@ def main():
         ratio = new[fast_name] / new[slow_name]
         verdict = "ok" if ratio >= args.min_ratio else "FAIL"
         print(f"{verdict}: {fast_name} / {slow_name} ="
-              f" {ratio:.1f}x (min {args.min_ratio:g}x)")
+              f" {ratio:.3g}x (min {args.min_ratio:g}x)")
         failed |= ratio < args.min_ratio
 
     for spec in args.min_items:
