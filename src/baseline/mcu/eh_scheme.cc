@@ -10,93 +10,25 @@ namespace
 
 constexpr double kCycle = kCyclesPerInstruction / kCpuFrequencyHz;
 
-/** Oracle: free checkpointing, perfect resume — the upper bound no
- *  real scheme can beat. */
-class OracleScheme final : public EhScheme
-{
-  public:
-    const char *name() const override { return "oracle"; }
-};
-
-/** Backup-every-cycle: an NV flip-flop shadow write rides along with
- *  every op, so any cut resumes exactly where it happened. */
-class BecScheme final : public EhScheme
-{
-  public:
-    const char *name() const override { return "bec"; }
-    double perOpEnergy() const override { return kBecBackupEnergy; }
-    // The shadow write hides inside the instruction cycle (that is
-    // the point of the architecture), so no per-op latency.
-    double restoreEnergy() const override { return kBecRestoreEnergy; }
-    double
-    restoreSeconds() const override
-    {
-        return kBecRestoreCycles / kCpuFrequencyHz;
-    }
-};
-
-/** On-demand-all-backup: nothing per op; one full-state flush when
- *  the brown-out detector fires, paid from reserved headroom. */
-class OdabScheme final : public EhScheme
-{
-  public:
-    const char *name() const override { return "odab"; }
-    double backupEnergy() const override { return kOdabBackupEnergy; }
-    double
-    backupSeconds() const override
-    {
-        return kOdabBackupCycles / kCpuFrequencyHz;
-    }
-    double
-    restoreEnergy() const override
-    {
-        return kOdabRestoreEnergy;
-    }
-    double
-    restoreSeconds() const override
-    {
-        return kOdabRestoreCycles / kCpuFrequencyHz;
-    }
-};
-
-/** Clank: WAR monitoring per op, a register checkpoint per region
- *  boundary, rollback to the last boundary on an outage. */
-class ClankScheme final : public EhScheme
-{
-  public:
-    const char *name() const override { return "clank"; }
-    double perOpEnergy() const override { return kClankPerOpEnergy; }
-    double
-    perOpSeconds() const override
-    {
-        return kClankPerOpCycles * kCycle;
-    }
-    double
-    checkpointEnergy() const override
-    {
-        return kClankCheckpointEnergy;
-    }
-    double
-    checkpointSeconds() const override
-    {
-        return kClankCheckpointCycles / kCpuFrequencyHz;
-    }
-    double
-    restoreEnergy() const override
-    {
-        return kClankRestoreEnergy;
-    }
-    double
-    restoreSeconds() const override
-    {
-        return kClankRestoreCycles / kCpuFrequencyHz;
-    }
-    std::uint64_t
-    resumeOp(const McuProgram &prog,
-             std::uint64_t nextOp) const override
-    {
-        return prog.regionStart(nextOp == 0 ? 0 : nextOp - 1);
-    }
+/** The schemes in listing order.  Oracle is free with a perfect
+ *  resume, the bound no real scheme beats.  BEC's NV flip-flop
+ *  shadow write hides inside the instruction cycle (the point of the
+ *  architecture), so it costs no per-op latency.  ODAB flushes all
+ *  state once when the brown-out detector fires.  Clank monitors
+ *  WAR hazards on every op and checkpoints registers at each region
+ *  boundary. */
+const EhScheme kSchemes[] = {
+    {"bec", {kBecBackupEnergy, 0.0}, {},
+     {kBecRestoreEnergy, kBecRestoreCycles / kCpuFrequencyHz}, {}, false},
+    {"odab", {},
+     {kOdabBackupEnergy, kOdabBackupCycles / kCpuFrequencyHz},
+     {kOdabRestoreEnergy, kOdabRestoreCycles / kCpuFrequencyHz}, {},
+     false},
+    {"clank", {kClankPerOpEnergy, kClankPerOpCycles * kCycle}, {},
+     {kClankRestoreEnergy, kClankRestoreCycles / kCpuFrequencyHz},
+     {kClankCheckpointEnergy, kClankCheckpointCycles / kCpuFrequencyHz},
+     true},
+    {"oracle", {}, {}, {}, {}, false},
 };
 
 } // namespace
@@ -112,17 +44,10 @@ ehSchemeNames()
 std::unique_ptr<EhScheme>
 makeEhScheme(const std::string &name)
 {
-    if (name == "bec") {
-        return std::make_unique<BecScheme>();
-    }
-    if (name == "odab") {
-        return std::make_unique<OdabScheme>();
-    }
-    if (name == "clank") {
-        return std::make_unique<ClankScheme>();
-    }
-    if (name == "oracle") {
-        return std::make_unique<OracleScheme>();
+    for (const EhScheme &scheme : kSchemes) {
+        if (name == scheme.id) {
+            return std::make_unique<EhScheme>(scheme);
+        }
     }
     return nullptr;
 }

@@ -17,8 +17,8 @@
  *           boundary — the tail of the region is re-executed as Dead
  *           work.
  *
- * Schemes are stateless and shareable; everything stream-dependent
- * (the Clank region placement) lives in the McuProgram.
+ * Schemes are constant tables; everything stream-dependent (the
+ * Clank region placement) lives in the McuProgram.
  */
 
 #ifndef MOUSE_BASELINE_MCU_EH_SCHEME_HH
@@ -34,44 +34,37 @@
 namespace mouse::mcu
 {
 
-/** One backup/restore policy of the MCU baseline. */
-class EhScheme
+/** One backup/restore policy of the MCU baseline: a plain table of
+ *  costs plus where execution resumes. */
+struct EhScheme
 {
-  public:
-    virtual ~EhScheme() = default;
-
     /** Stable lookup key ("bec", "odab", "clank", "oracle"). */
-    virtual const char *name() const = 0;
-
+    const char *id;
     /** Overhead added to every executed op (continuous backup). */
-    virtual double perOpEnergy() const { return 0.0; }
-    virtual double perOpSeconds() const { return 0.0; }
-
+    McuCost perOp;
     /** Just-in-time backup performed as the supply collapses; the
-     *  runner reserves this much buffer energy as headroom. */
-    virtual double backupEnergy() const { return 0.0; }
-    virtual double backupSeconds() const { return 0.0; }
-
+     *  runner reserves its energy as headroom. */
+    McuCost backup;
     /** State restore on power-up (after the recharge). */
-    virtual double restoreEnergy() const { return 0.0; }
-    virtual double restoreSeconds() const { return 0.0; }
-
+    McuCost restore;
     /** Checkpoint written each time execution crosses a region
      *  boundary of the program (Clank); zero for the others. */
-    virtual double checkpointEnergy() const { return 0.0; }
-    virtual double checkpointSeconds() const { return 0.0; }
+    McuCost checkpoint;
+    /** Roll back to the region start (Clank) instead of resuming at
+     *  the cut; the tail is re-executed. */
+    bool regionResume;
 
-    /**
-     * Op index execution resumes from after an outage that cut
-     * execution just before op @p nextOp.  Backup-to-the-cycle
-     * schemes resume exactly at the cut; region schemes roll back to
-     * the region start and re-execute the tail.
-     */
-    virtual std::uint64_t
+    const char *name() const { return id; }
+
+    /** Op index execution resumes from after an outage that cut
+     *  execution just before op @p nextOp. */
+    std::uint64_t
     resumeOp(const McuProgram &prog, std::uint64_t nextOp) const
     {
-        (void)prog;
-        return nextOp;
+        if (!regionResume) {
+            return nextOp;
+        }
+        return prog.regionStart(nextOp == 0 ? 0 : nextOp - 1);
     }
 };
 

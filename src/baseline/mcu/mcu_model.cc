@@ -5,6 +5,7 @@
 
 #include "baseline/mcu/datasheet.hh"
 #include "common/logging.hh"
+#include "sim/harvest_loop.hh"
 
 namespace mouse::mcu
 {
@@ -19,17 +20,182 @@ McuCost
 checkpointPerOp(const McuProgram &prog, const EhScheme &scheme)
 {
     McuCost cost;
-    if (scheme.checkpointEnergy() <= 0.0 ||
+    if (scheme.checkpoint.energy <= 0.0 ||
         prog.checkpoints.empty() || prog.totalOps == 0) {
         return cost;
     }
     const double perRegion = static_cast<double>(prog.totalOps) /
                              static_cast<double>(
                                  prog.checkpoints.size());
-    cost.energy = scheme.checkpointEnergy() / perRegion;
-    cost.seconds = scheme.checkpointSeconds() / perRegion;
+    cost.energy = scheme.checkpoint.energy / perRegion;
+    cost.seconds = scheme.checkpoint.seconds / perRegion;
     return cost;
 }
+
+/**
+ * An EhScheme as a policy of the shared harvested loop: an energy
+ * bucket refilled to the operating window, execution until the usable
+ * energy (minus the scheme's just-in-time backup reserve) runs out,
+ * a backup, a restore on power-up, and a resume where the scheme
+ * says, re-executing any rolled-back tail as Dead work.
+ */
+class McuPolicy
+{
+  public:
+    static constexpr bool kResample = false;
+    static constexpr bool kWalk = true;
+    struct Mark
+    {
+    };
+
+    McuPolicy(const McuProgram &prog, const EhScheme &scheme,
+              const HarvestConfig &harvest, double eff)
+        : prog_(prog), scheme_(scheme), eff_(eff)
+    {
+        const Farads cap =
+            effectiveCapacitance(harvest, kDefaultCapacitance);
+        const Platform *plat = harvest.platform.empty()
+                                   ? nullptr
+                                   : platformByName(harvest.platform);
+        const double vHigh =
+            plat != nullptr ? plat->maxCapacitorVoltage : kDefaultVHigh;
+        usable_ = 0.5 * cap * (vHigh * vHigh - kVLow * kVLow);
+        avail_ = usable_;
+        // From a dead-empty capacitor the sub-threshold charge
+        // [0, vLow) must be gathered too.
+        firstCharge_ = usable_;
+        if (harvest.startEmpty) {
+            firstCharge_ += 0.5 * cap * kVLow * kVLow;
+        }
+        const McuCost cp = checkpointPerOp(prog, scheme);
+        op_ = {scheme.perOp.energy + cp.energy,
+               scheme.perOp.seconds + cp.seconds};
+        // A region position relative to the op is a valid key only
+        // when the region boundaries repeat with a fixed stride.
+        const std::vector<std::uint64_t> &cps = prog.checkpoints;
+        for (std::size_t i = 0; i < cps.size() && uniform_; ++i) {
+            uniform_ = cps[i] == i * (cps.size() > 1 ? cps[1] : 0);
+        }
+    }
+
+    Joules
+    rechargeEnergy(bool first) const
+    {
+        return first ? firstCharge_ : usable_;
+    }
+
+    void recharged(Seconds, Seconds) {}
+
+    void
+    restore(std::size_t, RunStats &stats, auto &clock)
+    {
+        stats.restoreEnergy += scheme_.restore.energy;
+        stats.restoreTime += scheme_.restore.seconds;
+        clock.advance(scheme_.restore.seconds);
+        avail_ = usable_ - scheme_.restore.energy;
+    }
+
+    /** The source keeps trickling in while the MCU runs; its credit
+     *  is folded into the per-op net drain, sampled at the burst
+     *  start.  Ops below the high-water mark are replays (Dead). */
+    std::uint64_t
+    execute(std::size_t blk, std::uint64_t pos, std::uint64_t left,
+            Watts p, RunStats &stats, auto &clock)
+    {
+        if (!(avail_ > scheme_.backup.energy)) {
+            return 0;
+        }
+        const McuBlock &b = prog_.blocks[blk];
+        const double perE = b.per.energy + op_.energy;
+        const double perT = b.per.seconds + op_.seconds;
+        const double net = perE - std::max(p, 0.0) * eff_ * perT;
+        std::uint64_t n = left;
+        if (net > 0.0) {
+            // spare < net is exactly floor(spare / net) < 1.
+            const double spare = avail_ - scheme_.backup.energy;
+            if (spare < net) {
+                return 0;
+            }
+            n = std::min<std::uint64_t>(
+                left, static_cast<std::uint64_t>(std::floor(spare / net)));
+        }
+        const std::uint64_t dead =
+            pos < highWater_ ? std::min(n, highWater_ - pos) : 0;
+        const double dn = static_cast<double>(dead);
+        const double fn = static_cast<double>(n - dead);
+        stats.instructionsDead += dead;
+        stats.instructionsCommitted += n - dead;
+        stats.deadTime += dn * perT;
+        stats.activeTime += fn * perT;
+        stats.deadEnergy += dn * perE;
+        stats.computeEnergy += fn * b.per.energy;
+        stats.backupEnergy += fn * op_.energy;
+        avail_ -= static_cast<double>(n) * net;
+        clock.advance(static_cast<double>(n) * perT);
+        return n;
+    }
+
+    /** Just-in-time backup from the reserve, then roll back to where
+     *  the scheme can restart.  A burst that only replayed its region
+     *  (longer than one buffer-full of ops) forces a checkpoint where
+     *  execution died — Clank's watchdog — so the next burst starts
+     *  there instead of livelocking. */
+    std::uint64_t
+    outage(std::size_t, std::uint64_t pos, bool progress,
+           RunStats &stats, auto &clock)
+    {
+        highWater_ = std::max(highWater_, pos);
+        stats.outages += 1;
+        stats.backupEnergy += scheme_.backup.energy;
+        stats.restoreTime += scheme_.backup.seconds;
+        clock.advance(scheme_.backup.seconds);
+        if (!progress) {
+            watchdog_ = std::max(watchdog_, pos);
+            stats.backupEnergy += scheme_.checkpoint.energy;
+        }
+        return std::max(scheme_.resumeOp(prog_, pos), watchdog_);
+    }
+
+    /** Replay distance, the watchdog checkpoint if a later cut could
+     *  still resume at it, and the position in a Clank region (the
+     *  op itself when regions are not uniform). */
+    std::array<std::uint64_t, 3>
+    key(std::uint64_t pos) const
+    {
+        const std::uint64_t floor = scheme_.resumeOp(prog_, pos + 1);
+        return {highWater_ - pos,
+                watchdog_ > floor ? pos - watchdog_ : ~0ull,
+                !scheme_.regionResume ? 0 : uniform_ ? pos - floor : pos};
+    }
+
+    void
+    shift(std::uint64_t ops)
+    {
+        highWater_ += ops;
+        watchdog_ += ops;
+    }
+
+    Mark mark() { return {}; }
+    void repeat(const Mark &, std::uint64_t, Seconds) {}
+    void forget() {}
+
+  private:
+    const McuProgram &prog_;
+    const EhScheme scheme_;
+    double eff_;
+    /** Per-op overhead: the scheme's plus its amortized region
+     *  checkpoints. */
+    McuCost op_;
+    double usable_ = 0.0;
+    double firstCharge_ = 0.0;
+    bool uniform_ = true;
+    double avail_ = 0.0;
+    /** Ops committed so far; re-executed ops below it are Dead. */
+    std::uint64_t highWater_ = 0;
+    /** Watchdog-forced checkpoint (no effect on schemes that resume
+     *  at the cut: resumeOp >= this). */
+    std::uint64_t watchdog_ = 0;
+};
 
 } // namespace
 
@@ -41,9 +207,9 @@ mcuRunContinuous(const McuProgram &prog, const EhScheme &scheme)
     const double ops = static_cast<double>(prog.totalOps);
     stats.instructionsCommitted = prog.totalOps;
     stats.activeTime = prog.totalSeconds +
-                       ops * (scheme.perOpSeconds() + cp.seconds);
+                       ops * (scheme.perOp.seconds + cp.seconds);
     stats.computeEnergy = prog.totalEnergy;
-    stats.backupEnergy = ops * (scheme.perOpEnergy() + cp.energy);
+    stats.backupEnergy = ops * (scheme.perOp.energy + cp.energy);
     return stats;
 }
 
@@ -51,149 +217,18 @@ RunStats
 mcuRunHarvested(const McuProgram &prog, const EhScheme &scheme,
                 const HarvestConfig &harvest)
 {
-    RunStats stats;
     if (prog.totalOps == 0) {
-        return stats;
+        return RunStats{};
     }
-    const std::unique_ptr<PowerSource> src = harvest.source.make();
     const double eff = effectiveConverterEfficiency(harvest);
     if (eff <= 0.0) {
         mouse_fatal("MCU baseline: converter efficiency %.3g means "
                     "the buffer can never charge", eff);
     }
-    const Farads cap =
-        effectiveCapacitance(harvest, kDefaultCapacitance);
-    const Platform *plat = harvest.platform.empty()
-                               ? nullptr
-                               : platformByName(harvest.platform);
-    const double vHigh =
-        plat != nullptr ? plat->maxCapacitorVoltage : kDefaultVHigh;
-    const double usable = 0.5 * cap * (vHigh * vHigh - kVLow * kVLow);
-    const double reserve = scheme.backupEnergy();
-
-    const McuCost cp = checkpointPerOp(prog, scheme);
-    const double schemeOpE = scheme.perOpEnergy() + cp.energy;
-    const double schemeOpT = scheme.perOpSeconds() + cp.seconds;
-
-    double now = 0.0;
-    std::uint64_t pos = 0;
-    /** Ops committed so far; re-executed ops below it are Dead. */
-    std::uint64_t highWater = 0;
-    /** Watchdog-forced checkpoint: when a burst cannot get past a
-     *  scheme's replay window (region longer than one burst buys),
-     *  a checkpoint is forced at the point of death so the next
-     *  burst resumes there — Clank's watchdog mechanism.  Schemes
-     *  that resume at the cut are unaffected (resumeOp >= this). */
-    std::uint64_t watchdogCheckpoint = 0;
-    unsigned burstsWithoutProgress = 0;
-    bool firstBurst = true;
-
-    while (pos < prog.totalOps) {
-        // -- Charge to the top of the operating window --------------
-        double target = usable;
-        if (firstBurst && harvest.startEmpty) {
-            // From a dead-empty capacitor the sub-threshold charge
-            // [0, vLow) must be gathered too.
-            target += 0.5 * cap * kVLow * kVLow;
-        }
-        const double charge = src->timeToHarvest(target, now, eff);
-        stats.chargingTime += charge;
-        now += charge;
-
-        // -- Restore on power-up (not on the very first boot) -------
-        double avail = usable;
-        if (!firstBurst) {
-            stats.restoreEnergy += scheme.restoreEnergy();
-            stats.restoreTime += scheme.restoreSeconds();
-            now += scheme.restoreSeconds();
-            avail -= scheme.restoreEnergy();
-        }
-        firstBurst = false;
-
-        // -- Execute until the window (minus the backup reserve)
-        //    runs out.  The source keeps trickling in while the MCU
-        //    runs; its credit is folded into the per-op net drain,
-        //    sampled at the burst start (deterministic).
-        const double p = std::max(src->power(now), 0.0) * eff;
-        const std::uint64_t burstStartHighWater = highWater;
-        std::size_t blk = prog.blockOf(pos);
-        while (pos < prog.totalOps && avail > reserve) {
-            const McuBlock &b = prog.blocks[blk];
-            const double perE = b.per.energy + schemeOpE;
-            const double perT = b.per.seconds + schemeOpT;
-            const double net = perE - p * perT;
-            const std::uint64_t left =
-                prog.blockStart[blk + 1] - pos;
-            std::uint64_t n = left;
-            if (net > 0.0) {
-                const double fit =
-                    std::floor((avail - reserve) / net);
-                if (fit < 1.0) {
-                    break;
-                }
-                n = std::min<std::uint64_t>(
-                    left, static_cast<std::uint64_t>(fit));
-            }
-            const std::uint64_t dead =
-                pos < highWater
-                    ? std::min<std::uint64_t>(n, highWater - pos)
-                    : 0;
-            const std::uint64_t fresh = n - dead;
-            const double dn = static_cast<double>(dead);
-            const double fn = static_cast<double>(fresh);
-            stats.instructionsDead += dead;
-            stats.instructionsCommitted += fresh;
-            stats.deadTime += dn * perT;
-            stats.activeTime += fn * perT;
-            stats.deadEnergy += dn * perE;
-            stats.computeEnergy += fn * b.per.energy;
-            stats.backupEnergy += fn * schemeOpE;
-            avail -= static_cast<double>(n) * net;
-            now += static_cast<double>(n) * perT;
-            pos += n;
-            if (pos >= prog.blockStart[blk + 1]) {
-                ++blk;
-            }
-        }
-        highWater = std::max(highWater, pos);
-        if (pos >= prog.totalOps) {
-            break;
-        }
-
-        // -- Outage: just-in-time backup from the reserve, roll the
-        //    resume point back to where the scheme can restart.
-        stats.outages += 1;
-        stats.backupEnergy += scheme.backupEnergy();
-        stats.restoreTime += scheme.backupSeconds();
-        now += scheme.backupSeconds();
-        if (highWater == burstStartHighWater) {
-            // The whole burst went to replaying the current region:
-            // the region is longer than one buffer-full of this
-            // workload's ops.  Force a checkpoint where execution
-            // died (the watchdog path of Clank-style schemes) so the
-            // next burst starts here instead of livelocking.
-            watchdogCheckpoint = std::max(watchdogCheckpoint, pos);
-            stats.backupEnergy += scheme.checkpointEnergy();
-        }
-        pos = std::max(scheme.resumeOp(prog, pos),
-                       watchdogCheckpoint);
-
-        if (highWater == burstStartHighWater) {
-            if (++burstsWithoutProgress >
-                harvest.nonTerminationLimit) {
-                mouse_fatal(
-                    "MCU baseline (%s): %u consecutive bursts made "
-                    "no progress at op %llu/%llu — the buffer "
-                    "cannot cover the scheme's replay window",
-                    scheme.name(), burstsWithoutProgress,
-                    static_cast<unsigned long long>(highWater),
-                    static_cast<unsigned long long>(prog.totalOps));
-            }
-        } else {
-            burstsWithoutProgress = 0;
-        }
-    }
-    return stats;
+    const std::unique_ptr<PowerSource> src = harvest.source.make();
+    McuPolicy policy(prog, scheme, harvest, eff);
+    return runHarvestLoop(policy, *src, eff, prog.blocks,
+                          harvest.nonTerminationLimit);
 }
 
 } // namespace mouse::mcu

@@ -7,11 +7,12 @@
  * SourceSpec, platform presets, capacitance override, converter
  * efficiency — that drives the MOUSE simulators (HarvestConfig,
  * sim/simulator.hh).  The harvested runner is an energy-bucket
- * model: charge the buffer across its operating window, execute ops
- * until the usable energy (minus the scheme's just-in-time backup
- * reserve) runs out, back up, recharge, restore, resume where the
- * scheme says — re-executing any rolled-back tail as Dead work, the
- * same RunStats taxonomy as the MOUSE runners.
+ * policy of the harvested loop MOUSE uses too (sim/harvest_loop.hh):
+ * charge the buffer across its operating window, execute ops until
+ * the usable energy (minus the scheme's just-in-time backup reserve)
+ * runs out, back up, recharge, restore, resume where the scheme says
+ * — re-executing any rolled-back tail as Dead work, the same
+ * RunStats taxonomy as the MOUSE runners.
  *
  * Everything is closed-form per trace block and per burst, so runs
  * are deterministic pure functions of their inputs (no host clock,

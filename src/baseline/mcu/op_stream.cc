@@ -51,20 +51,19 @@ finalize(McuProgram &prog, unsigned clankRegionOps)
 
 } // namespace
 
-std::size_t
-McuProgram::blockOf(std::uint64_t op) const
-{
-    mouse_assert(op < totalOps, "op index out of range");
-    const auto it = std::upper_bound(blockStart.begin(),
-                                     blockStart.end(), op);
-    return static_cast<std::size_t>(it - blockStart.begin()) - 1;
-}
-
 std::uint64_t
 McuProgram::regionStart(std::uint64_t op) const
 {
     if (checkpoints.empty()) {
         return 0;
+    }
+    // A uniform placement, as fromTrace() makes, needs one division.
+    const std::uint64_t stride =
+        checkpoints.size() > 1 ? checkpoints[1] : 0;
+    const std::uint64_t i = stride > 0 ? op / stride : checkpoints.size();
+    if (i < checkpoints.size() && checkpoints[i] == i * stride &&
+        (i + 1 == checkpoints.size() || op < checkpoints[i + 1])) {
+        return checkpoints[i];
     }
     const auto it = std::upper_bound(checkpoints.begin(),
                                      checkpoints.end(), op);

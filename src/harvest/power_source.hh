@@ -113,7 +113,7 @@ class TracePowerSource : public PowerSource
     Watts
     power(Seconds t) const override
     {
-        const Seconds phase = std::fmod(t, period_);
+        const Seconds phase = phaseOf(t);
         const std::size_t idx = static_cast<std::size_t>(
             std::upper_bound(thresholds_.begin(), thresholds_.end(),
                              phase) -
@@ -136,7 +136,7 @@ class TracePowerSource : public PowerSource
             std::max(std::floor(energy / perPeriod) - 1.0, 0.0);
         energy -= whole * perPeriod;
         Seconds t = whole * period_;
-        const Seconds phase = std::fmod(t0, period_);
+        const Seconds phase = phaseOf(t0);
         std::size_t i = static_cast<std::size_t>(
             std::upper_bound(ends_.begin(), ends_.end(), phase) -
             ends_.begin());
@@ -148,7 +148,7 @@ class TracePowerSource : public PowerSource
             }
             energy -= p * span;
             t += span;
-            i = (i + 1) % segments_.size();
+            i = i + 1 == segments_.size() ? 0 : i + 1;
         }
     }
 
@@ -157,7 +157,7 @@ class TracePowerSource : public PowerSource
     {
         // A boundary within rounding of t counts as crossed, so a
         // call at the returned time always moves on.
-        const Seconds phase = std::fmod(t, period_);
+        const Seconds phase = phaseOf(t);
         const auto it =
             std::upper_bound(ends_.begin(), ends_.end(),
                              phase + 1e-15 * std::max(t, period_));
@@ -166,6 +166,34 @@ class TracePowerSource : public PowerSource
     }
 
     Seconds period() const { return period_; }
+
+    /**
+     * Phase of @p t within the period: std::fmod(t, period()), bit
+     * for bit, without fmod's per-bit loop:
+     * q = floor(t / period) is off by at most one, one fused
+     * multiply-add then gives the remainder exactly (it is
+     * representable once q is exact), and one correction of q fixes
+     * the rare rounding of the quotient.  Negative, non-finite and
+     * huge times (q not exact in a double) and zeros (the sign of
+     * -0) take std::fmod.
+     */
+    Seconds
+    phaseOf(Seconds t) const
+    {
+        if (!(t > 0.0 && t < 0x1p52 * period_)) {
+            return std::fmod(t, period_);
+        }
+        double q = std::floor(t / period_);
+        double r = std::fma(-q, period_, t);
+        if (r < 0.0) {
+            q -= 1.0;
+            r = std::fma(-q, period_, t);
+        } else if (r >= period_) {
+            q += 1.0;
+            r = std::fma(-q, period_, t);
+        }
+        return r;
+    }
 
     const std::vector<Segment> &segments() const { return segments_; }
 

@@ -97,7 +97,7 @@ struct Telemetry
 #else
 #define MOUSE_OBS_HOOK(telem, stmt) \
     do {                            \
-        if (telem) {                \
+        if (telem) [[unlikely]] {   \
             stmt;                   \
         }                           \
     } while (0)

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
-#include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "sim/harvest_loop.hh"
 
 namespace mouse
 {
@@ -49,7 +49,9 @@ traceInstrCost(const EnergyModel &energy, const TraceBlock &blk)
  * into the run's Telemetry bundle; every method self-gates, and the
  * hot-loop call sites are additionally wrapped in MOUSE_OBS_HOOK so
  * a null telemetry costs one predictable branch (or nothing at all
- * under MOUSE_OBS_DISABLE_HOOKS).
+ * under MOUSE_OBS_DISABLE_HOOKS).  The larger methods only traced
+ * runs reach stay out of line, so untraced loops keep a small code
+ * footprint.
  */
 class SimProbe
 {
@@ -141,8 +143,10 @@ class SimProbe
         if (dead_ != nullptr) {
             dead_->increment();
             outages_->increment();
-            lastBurst_ = static_cast<double>(burst_);
-            burstInstr_->sample(lastBurst_);
+            burstInstr_->sample(static_cast<double>(burst_));
+            if (recording_) {
+                cycleBursts_.push_back(static_cast<double>(burst_));
+            }
         }
         burst_ = 0;
         offSince_ = t + attemptDur;
@@ -155,7 +159,7 @@ class SimProbe
     }
 
     /** Replayed instructions after a restart are Dead work too. */
-    void
+    [[gnu::noinline]] void
     deadReplay(std::uint64_t n, Seconds t0, Seconds dur)
     {
         if (dead_ != nullptr) {
@@ -175,8 +179,10 @@ class SimProbe
         if (recharges_ != nullptr) {
             recharges_->increment();
             if (offSince_ >= 0.0) {
-                lastOutage_ = t - offSince_;
-                outageDur_->sample(lastOutage_);
+                outageDur_->sample(t - offSince_);
+                if (recording_) {
+                    cycleOutages_.push_back(t - offSince_);
+                }
             }
         }
         if (wantsEvents() && offSince_ >= 0.0) {
@@ -208,14 +214,14 @@ class SimProbe
     }
 
     /** Observe the buffer voltage and offer a waveform sample. */
-    void
+    [[gnu::noinline]] void
     maybeSample(Seconds t, Volts v, Watts p)
     {
         if (vMin_ != nullptr) {
             vMin_->observe(v);
             vMax_->observe(v);
         }
-        if (recordCycle_) {
+        if (recording_ && wantsWaveform()) {
             cycleSamples_.push_back({t, v, p});
         }
         emitSample(t, v, p);
@@ -228,7 +234,7 @@ class SimProbe
      * and at each segment boundary the recharge crosses.  Both are
      * capped at 256; past 256 boundaries only the end is sampled.
      */
-    void
+    [[gnu::noinline]] void
     sampleRecharge(Seconds t0, Seconds dt, Volts v0, Volts v1,
                    Farads c, const PowerSource &src)
     {
@@ -271,51 +277,81 @@ class SimProbe
         }
     }
 
-    /** A restart point: the cycle a later repeatCycles() copies
-     *  starts here. */
-    void
-    markRestart()
+    /** What the probe had recorded at a restart point. */
+    struct Mark
     {
+        std::array<std::uint64_t, 5> counters{};
+        obs::TraceSink::Mark sink{};
+        std::size_t outages = 0;
+        std::size_t bursts = 0;
+        std::size_t samples = 0;
+    };
+
+    /** Start recording for repeatCycles() (the trace loop). */
+    [[gnu::noinline]] Mark
+    mark()
+    {
+        recording_ = true;
+        Mark m;
         if (reg_ != nullptr) {
             const auto counters = cycleCounters();
             for (std::size_t i = 0; i < counters.size(); ++i) {
-                counterMark_[i] = counters[i]->value();
+                m.counters[i] = counters[i]->value();
             }
         }
         if (sink_ != nullptr) {
-            sinkMark_ = sink_->mark();
+            m.sink = sink_->mark();
         }
-        cycleSamples_.clear();
-        recordCycle_ = wantsWaveform();
+        m.outages = cycleOutages_.size();
+        m.bursts = cycleBursts_.size();
+        m.samples = cycleSamples_.size();
+        return m;
     }
 
     /**
-     * The cycle since markRestart() happens @p k more times, each
-     * @p dt after the one before: counters gain k times what the
-     * cycle added, its outage and burst are sampled with weight k,
-     * and its events and waveform samples repeat k times, shifted.
+     * The cycle since @p m happens @p k more times, each @p dt after
+     * the one before: counters gain k times what the cycle added,
+     * its outages and bursts are sampled with weight k, and its
+     * events and waveform samples repeat k times, shifted.
      */
-    void
-    repeatCycles(std::uint64_t k, Seconds dt)
+    [[gnu::noinline]] void
+    repeatCycles(const Mark &m, std::uint64_t k, Seconds dt)
     {
         if (reg_ != nullptr) {
             const auto counters = cycleCounters();
             for (std::size_t i = 0; i < counters.size(); ++i) {
                 *counters[i] += k * (counters[i]->value() -
-                                     counterMark_[i]);
+                                     m.counters[i]);
             }
-            outageDur_->sample(lastOutage_, k);
-            burstInstr_->sample(lastBurst_, k);
+            for (std::size_t i = m.outages; i < cycleOutages_.size();
+                 ++i) {
+                outageDur_->sample(cycleOutages_[i], k);
+            }
+            for (std::size_t i = m.bursts; i < cycleBursts_.size();
+                 ++i) {
+                burstInstr_->sample(cycleBursts_[i], k);
+            }
         }
         if (sink_ != nullptr) {
-            sink_->repeatEvents(sinkMark_, k, dt);
+            sink_->repeatEvents(m.sink, k, dt);
         }
+        const std::size_t end = cycleSamples_.size();
         for (std::uint64_t j = 1; j <= k; ++j) {
             const Seconds shift = static_cast<double>(j) * dt;
-            for (const SampleCall &c : cycleSamples_) {
+            for (std::size_t i = m.samples; i < end; ++i) {
+                const SampleCall &c = cycleSamples_[i];
                 emitSample(c.t + shift, c.v, c.p);
             }
         }
+    }
+
+    /** Drop what was recorded for marks no longer needed. */
+    [[gnu::noinline]] void
+    forget()
+    {
+        cycleOutages_.clear();
+        cycleBursts_.clear();
+        cycleSamples_.clear();
     }
 
     /** Close out the run: totals, shares, and overflow counters. */
@@ -452,15 +488,12 @@ class SimProbe
     /** Start of the current off period; -1 while powered. */
     Seconds offSince_ = -1.0;
     Seconds lastSample_ = -1.0;
-    /** The last outage's length and the burst before it. */
-    Seconds lastOutage_ = 0.0;
-    double lastBurst_ = 0.0;
-    /** Counter values and sink position at the last restart. */
-    std::array<std::uint64_t, 5> counterMark_{};
-    obs::TraceSink::Mark sinkMark_{};
-    /** maybeSample() calls since the last restart (waveform on). */
+    /** Outage lengths, burst sizes and (waveform on) maybeSample()
+     *  calls since the last forget(), for repeatCycles(). */
+    std::vector<Seconds> cycleOutages_;
+    std::vector<double> cycleBursts_;
     std::vector<SampleCall> cycleSamples_;
-    bool recordCycle_ = false;
+    bool recording_ = false;
 };
 
 /** Shared harvesting-loop state. */
@@ -493,14 +526,20 @@ struct HarvestEnv
     {
         const Seconds dt =
             source.timeToHarvest(cap.energyTo(v), now, 1.0);
-        MOUSE_OBS_HOOK(probe,
-                       probe->sampleRecharge(now, dt, cap.voltage(),
-                                             v, cap.capacitance(),
-                                             source));
+        charged(now, dt, v);
         stats.chargingTime += dt;
         now += dt;
+    }
+
+    /** The buffer reached @p v after charging for @p dt from @p t0. */
+    void
+    charged(Seconds t0, Seconds dt, Volts v)
+    {
+        MOUSE_OBS_HOOK(probe,
+                       probe->sampleRecharge(t0, dt, cap.voltage(), v,
+                                             cap.capacitance(), source));
         cap.setVoltage(v);
-        MOUSE_OBS_HOOK(probe, probe->rechargeDone(now));
+        MOUSE_OBS_HOOK(probe, probe->rechargeDone(t0 + dt));
     }
 
     Joules
@@ -527,38 +566,203 @@ struct HarvestEnv
     Seconds now = 0.0;
 };
 
-/** The harvested trace loop just after a restart: recharged to
- *  vHigh, restore and replay done, nothing uncheckpointed. */
-struct RestartPoint
+/**
+ * MOUSE as a policy of the shared harvested loop: a capacitor drained
+ * through the converter, a dead attempt at the instruction the buffer
+ * dies in, a restore of the Activate Columns checkpoint on restart,
+ * and a replay of the instructions since the last checkpoint.
+ */
+class MousePolicy
 {
-    Volts voltage;
-    Seconds now;
-    RunStats stats;
-};
+  public:
+    static constexpr bool kResample = true;
+    /** Each copy's recharge waveform and events differ on a
+     *  time-varying source, so MOUSE takes only the closed form. */
+    static constexpr bool kWalk = false;
+    /** Index of the probe's mark (traced runs only). */
+    using Mark = std::size_t;
 
-/** Add @p k more copies of everything @p stats gained since
- *  @p from. */
-void
-repeatGain(RunStats &stats, const RunStats &from, std::uint64_t k)
-{
-    const auto repeat = [&](auto RunStats::*field) {
-        using T = std::remove_reference_t<decltype(stats.*field)>;
-        stats.*field +=
-            static_cast<T>(k) * (stats.*field - from.*field);
+    MousePolicy(const Trace &trace, const EnergyModel &energy,
+                const HarvestConfig &harvest, SimProbe &probe,
+                bool traced)
+        : env(energy, harvest, traced ? &probe : nullptr),
+          trace_(trace), energy_(energy), probe_(probe),
+          cycle_(energy.cycleTime()),
+          period_(std::max(1u, harvest.checkpointPeriod))
+    {
+    }
+
+    Joules
+    rechargeEnergy(bool) const
+    {
+        return env.cap.energyTo(env.vHigh);
+    }
+
+    void
+    recharged(Seconds t0, Seconds dt)
+    {
+        env.charged(t0, dt, env.vHigh);
+    }
+
+    /** Re-issue the (single, in compiled kernels) Activate Columns
+     *  checkpoint, then replay the instructions committed since the
+     *  last checkpoint as Dead work (idempotent, so only their cost
+     *  matters). */
+    void
+    restore(std::size_t blk, RunStats &stats, auto &clock)
+    {
+        const Joules restore =
+            energy_.restoreEnergy(1, trace_.blocks[blk].activeColsAfter);
+        const InstrCost &instr = costOf(blk).instr;
+        stats.restoreEnergy += restore;
+        stats.restoreTime += cycle_;
+        MOUSE_OBS_HOOK(env.probe,
+                       probe_.restore(clock.now, cycle_, restore));
+        clock.advance(cycle_);
+        env.drawLoad(restore);
+        if (uncheckpointed_ > 0) {
+            const double replay = static_cast<double>(uncheckpointed_);
+            const Joules cost = instr.total() * replay;
+            stats.deadEnergy += cost;
+            stats.deadTime += cycle_ * replay;
+            ++stats.instructionsDead;
+            MOUSE_OBS_HOOK(env.probe,
+                           probe_.deadReplay(uncheckpointed_, clock.now,
+                                             cycle_ * replay));
+            clock.advance(cycle_ * replay);
+            env.drawLoad(cost);
+            uncheckpointed_ = 0;
+        }
+    }
+
+    /** The source keeps trickling into the buffer while MOUSE
+     *  executes: the net drain per instruction decides how many fit,
+     *  and a source stronger than the draw runs continuously. */
+    std::uint64_t
+    execute(std::size_t blk, std::uint64_t, std::uint64_t left,
+            Watts p, RunStats &stats, auto &clock)
+    {
+        const Cost &c = costOf(blk);
+        const Joules credit = p * cycle_;
+        const Joules net = c.buffer > credit ? c.buffer - credit : 0.0;
+        const std::uint64_t n = std::min(
+            left, net > 0.0
+                      ? static_cast<std::uint64_t>(env.available() / net)
+                      : left);
+        if (n == 0) {
+            return 0;
+        }
+        const double nd = static_cast<double>(n);
+        const Seconds t0 = clock.now;
+        env.cap.draw(net * nd);
+        clock.advance(cycle_ * nd);
+        stats.computeEnergy += c.instr.exec * nd;
+        stats.backupEnergy += c.instr.backup * nd;
+        stats.activeTime += cycle_ * nd;
+        stats.instructionsCommitted += n;
+        uncheckpointed_ = (uncheckpointed_ + n) % period_;
+        MOUSE_OBS_HOOK(env.probe, {
+            probe_.commitChunk(n, t0, clock.now - t0, period_);
+            probe_.maybeSample(clock.now, env.cap.voltage(),
+                               env.source.power(clock.now));
+        });
+        return n;
+    }
+
+    /** The attempt drains the buffer to the shutdown voltage and all
+     *  of it is Dead; the restart resumes at the same instruction. */
+    std::uint64_t
+    outage(std::size_t blk, std::uint64_t pos, bool, RunStats &stats,
+           auto &clock)
+    {
+        const Joules avail = env.available();
+        const Joules cost = costOf(blk).buffer;
+        const Seconds attempt =
+            cycle_ * std::min(1.0, cost > 0.0 ? avail / cost : 0.0);
+        const Joules wasted = avail * env.converter.efficiency();
+        stats.deadEnergy += wasted;
+        stats.deadTime += attempt;
+        MOUSE_OBS_HOOK(env.probe,
+                       probe_.outageBegin(clock.now, attempt, wasted));
+        clock.advance(attempt);
+        ++stats.instructionsDead;
+        ++stats.outages;
+        env.cap.draw(avail);
+        return pos;
+    }
+
+    /** A restart's cycle depends on the buffer voltage and the
+     *  instructions not yet checkpointed; it reaches no further than
+     *  the restart itself. */
+    std::array<std::uint64_t, 3>
+    key(std::uint64_t) const
+    {
+        return {0, std::bit_cast<std::uint64_t>(env.cap.voltage()),
+                uncheckpointed_};
+    }
+
+    void shift(std::uint64_t) {}
+
+    Mark
+    mark()
+    {
+        MOUSE_OBS_HOOK(env.probe, marks_.push_back(probe_.mark()));
+        return marks_.size();
+    }
+
+    void
+    repeat(Mark m, std::uint64_t k, Seconds dt)
+    {
+        MOUSE_OBS_HOOK(env.probe,
+                       probe_.repeatCycles(marks_[m - 1], k, dt));
+    }
+
+    void
+    forget()
+    {
+        MOUSE_OBS_HOOK(env.probe, {
+            probe_.forget();
+            marks_.clear();
+        });
+    }
+
+    HarvestEnv env;
+
+  private:
+    /** A block's instruction cost and its buffer-side energy. */
+    struct Cost
+    {
+        InstrCost instr;
+        Joules buffer;
     };
-    repeat(&RunStats::instructionsCommitted);
-    repeat(&RunStats::instructionsDead);
-    repeat(&RunStats::outages);
-    repeat(&RunStats::activeTime);
-    repeat(&RunStats::deadTime);
-    repeat(&RunStats::restoreTime);
-    repeat(&RunStats::chargingTime);
-    repeat(&RunStats::computeEnergy);
-    repeat(&RunStats::backupEnergy);
-    repeat(&RunStats::deadEnergy);
-    repeat(&RunStats::restoreEnergy);
-    repeat(&RunStats::idleEnergy);
-}
+
+    /** The cost of block @p blk (of the last block asked for). */
+    const Cost &
+    costOf(std::size_t blk)
+    {
+        if (blk != costBlock_) {
+            InstrCost cost = traceInstrCost(energy_, trace_.blocks[blk]);
+            // A wider checkpoint period amortizes the per-cycle
+            // backup.
+            cost.backup /= period_;
+            cost_ = {cost, env.converter.bufferEnergyFor(cost.total())};
+            costBlock_ = blk;
+        }
+        return cost_;
+    }
+
+    const Trace &trace_;
+    const EnergyModel &energy_;
+    SimProbe &probe_;
+    Seconds cycle_;
+    unsigned period_;
+    Cost cost_{};
+    std::size_t costBlock_ = ~std::size_t{0};
+    std::vector<SimProbe::Mark> marks_;
+    /** Instructions committed since the last checkpoint; an outage
+     *  replays them (Section IV-D trade-off). */
+    std::uint64_t uncheckpointed_ = 0;
+};
 
 } // namespace
 
@@ -649,153 +853,11 @@ runHarvestedTrace(const Trace &trace, const EnergyModel &energy,
                   const HarvestConfig &harvest,
                   obs::Telemetry *telem)
 {
-    RunStats stats;
     SimProbe probe(telem);
-    const Seconds cycle = energy.cycleTime();
-    HarvestEnv env(energy, harvest, telem ? &probe : nullptr);
-    env.rechargeTo(env.vHigh, stats);
-
-    const unsigned period = std::max(1u, harvest.checkpointPeriod);
-    // Instructions committed since the last checkpoint; they would
-    // be replayed by an outage (Section IV-D trade-off).
-    std::uint64_t uncheckpointed = 0;
-
-    for (const TraceBlock &blk : trace.blocks) {
-        InstrCost cost = traceInstrCost(energy, blk);
-        // A wider checkpoint period amortizes the per-cycle backup.
-        cost.backup /= period;
-        const Joules buffer_cost =
-            env.converter.bufferEnergyFor(cost.total());
-        std::uint64_t remaining = blk.count;
-        unsigned consecutive_failures = 0;
-        std::optional<RestartPoint> last;
-        while (remaining > 0) {
-            const Joules avail = env.available();
-            // The source keeps trickling into the buffer while MOUSE
-            // executes; the net drain per instruction is what
-            // determines how many fit in the burst.  With a source
-            // stronger than the draw, execution is continuous.
-            const Joules credit =
-                env.source.power(env.now) * cycle;
-            const Joules net = buffer_cost > credit
-                                   ? buffer_cost - credit
-                                   : 0.0;
-            const std::uint64_t fit =
-                net > 0.0
-                    ? static_cast<std::uint64_t>(avail / net)
-                    : remaining;
-            const std::uint64_t n = std::min(remaining, fit);
-            if (n > 0) {
-                consecutive_failures = 0;
-                const double nd = static_cast<double>(n);
-                const Seconds t0 = env.now;
-                env.cap.draw(net * nd);
-                env.advance(cycle * nd);
-                stats.computeEnergy += cost.exec * nd;
-                stats.backupEnergy += cost.backup * nd;
-                stats.activeTime += cycle * nd;
-                stats.instructionsCommitted += n;
-                uncheckpointed = (uncheckpointed + n) % period;
-                remaining -= n;
-                MOUSE_OBS_HOOK(telem, {
-                    probe.commitChunk(n, t0, env.now - t0, period);
-                    probe.maybeSample(
-                        env.now, env.cap.voltage(),
-                        env.source.power(env.now));
-                });
-                continue;
-            }
-            // Outage mid-instruction: the attempt drains the buffer
-            // to the shutdown voltage and all of it is Dead.
-            const double fraction =
-                buffer_cost > 0.0 ? avail / buffer_cost : 0.0;
-            const Joules wasted =
-                avail * env.converter.efficiency();
-            stats.deadEnergy += wasted;
-            stats.deadTime += cycle * std::min(1.0, fraction);
-            MOUSE_OBS_HOOK(
-                telem,
-                probe.outageBegin(env.now,
-                                  cycle * std::min(1.0, fraction),
-                                  wasted));
-            env.advance(cycle * std::min(1.0, fraction));
-            ++stats.instructionsDead;
-            ++stats.outages;
-            env.cap.draw(avail);
-
-            env.rechargeTo(env.vHigh, stats);
-            // Restart: re-issue the (single, in compiled kernels)
-            // Activate Columns checkpoint.
-            const Joules restore =
-                energy.restoreEnergy(1, blk.activeColsAfter);
-            stats.restoreEnergy += restore;
-            stats.restoreTime += cycle;
-            MOUSE_OBS_HOOK(telem,
-                           probe.restore(env.now, cycle, restore));
-            env.advance(cycle);
-            env.drawLoad(restore);
-
-            if (uncheckpointed > 0) {
-                // Replay the instructions committed since the last
-                // checkpoint: their re-execution is Dead work and
-                // drains the fresh burst.  (Re-running them is
-                // idempotent, so only cost — not state — matters.)
-                const double replay =
-                    static_cast<double>(uncheckpointed);
-                const Joules replay_cost = cost.total() * replay;
-                stats.deadEnergy += replay_cost;
-                stats.deadTime += cycle * replay;
-                ++stats.instructionsDead;
-                MOUSE_OBS_HOOK(telem,
-                               probe.deadReplay(uncheckpointed,
-                                                env.now,
-                                                cycle * replay));
-                env.advance(cycle * replay);
-                env.drawLoad(replay_cost);
-                uncheckpointed = 0;
-            }
-
-            if (++consecutive_failures > harvest.nonTerminationLimit) {
-                mouse_fatal(
-                    "non-termination: buffer of %.3g J per burst "
-                    "cannot cover one %.3g J instruction plus "
-                    "restore; reduce parallelism or enlarge the "
-                    "capacitor",
-                    env.cap.energyAbove(env.vLow), buffer_cost);
-            }
-
-            // A restart point.  The cycle to the next one depends
-            // only on the buffer voltage here and the source power,
-            // so if the last restart in this block left the same
-            // voltage, the cycle since then repeats exactly while the
-            // source holds still: step over whole copies of it, but
-            // leave the block's last burst to the loop
-            // (docs/HARVESTING.md, "Outage cycles in closed form").
-            if (last && last->voltage == env.cap.voltage() &&
-                stats.instructionsCommitted >
-                    last->stats.instructionsCommitted) {
-                const std::uint64_t f =
-                    stats.instructionsCommitted -
-                    last->stats.instructionsCommitted;
-                const Seconds dt = env.now - last->now;
-                const double inSegment = std::floor(
-                    (env.source.nextChange(last->now) - env.now) /
-                    dt);
-                const std::uint64_t k =
-                    static_cast<std::uint64_t>(std::clamp(
-                        inSegment, 0.0,
-                        static_cast<double>((remaining - 1) / f)));
-                if (k > 0) {
-                    repeatGain(stats, last->stats, k);
-                    env.advance(dt * static_cast<double>(k));
-                    remaining -= k * f;
-                    MOUSE_OBS_HOOK(telem, probe.repeatCycles(k, dt));
-                }
-            }
-            last = RestartPoint{env.cap.voltage(), env.now, stats};
-            MOUSE_OBS_HOOK(telem, probe.markRestart());
-        }
-    }
+    MousePolicy policy(trace, energy, harvest, probe, telem != nullptr);
+    RunStats stats = runHarvestLoop(policy, policy.env.source, 1.0,
+                                    trace.blocks,
+                                    harvest.nonTerminationLimit);
     stats.idleEnergy += energy.idlePower() * stats.activeTime;
     MOUSE_OBS_HOOK(telem, probe.finalize(stats));
     return stats;

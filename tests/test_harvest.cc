@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -289,6 +290,66 @@ TEST(PowerSource, ConstantTimeToHarvestIsTheOldClosedForm)
         const double eff = 0.5 + 0.5 * rng.uniform();
         ASSERT_EQ(src.timeToHarvest(e, 0.0, eff), e / (p * eff));
     }
+}
+
+TEST(TracePowerSource, PhaseMatchesFmodBitForBit)
+{
+    // phaseOf replaces std::fmod in every query; it must return the
+    // same bits for the square wave and each corpus period: random
+    // times up to a day, the +-4-ulp neighbours of whole periods
+    // (where the quotient rounds across an integer), bit patterns
+    // just inside the 2^52-period limit, and the inputs that fall
+    // back to fmod (zeros, negatives, huge and non-finite times).
+    std::vector<TracePowerSource> sources{
+        TracePowerSource::square(0.01, 0.3, 1e-3)};
+    for (const PowerTrace &t : powerTraceCorpus()) {
+        sources.emplace_back(t.segments);
+    }
+    ASSERT_EQ(sources.size(), 4u);
+    const auto bits = [](double v) {
+        std::uint64_t b = 0;
+        std::memcpy(&b, &v, sizeof(b));
+        return b;
+    };
+    Rng rng(7);
+    std::uint64_t checked = 0;
+    for (const TracePowerSource &src : sources) {
+        const double period = src.period();
+        const auto expectSame = [&](double t) {
+            ASSERT_EQ(bits(src.phaseOf(t)), bits(std::fmod(t, period)))
+                << "t=" << t << " period=" << period;
+            ++checked;
+        };
+        for (int i = 0; i < 100000; ++i) {
+            expectSame(rng.uniform(0.0, 86400.0));
+            expectSame(std::exp2(rng.uniform(-40.0, 60.0)));
+        }
+        for (int i = 0; i < 20000; ++i) {
+            const double k = std::floor(rng.uniform(0.0, 1e7));
+            double t = k * period;
+            for (int u = 0; u < 4; ++u) {
+                t = std::nextafter(t, 0.0);
+            }
+            for (int u = 0; u <= 8; ++u) {
+                expectSame(t);
+                t = std::nextafter(t, HUGE_VAL);
+            }
+        }
+        const double limit = 0x1p52 * period;
+        for (double t = limit, u = 0; u < 8; ++u) {
+            expectSame(t);
+            t = std::nextafter(t, 0.0);
+        }
+        for (const double t :
+             {0.0, -0.0, -1.0, -period, -1e300, 1e300, limit * 2.0,
+              std::numeric_limits<double>::denorm_min(),
+              std::numeric_limits<double>::infinity(),
+              -std::numeric_limits<double>::infinity(),
+              std::numeric_limits<double>::quiet_NaN()}) {
+            expectSame(t);
+        }
+    }
+    EXPECT_GT(checked, 1000000u);
 }
 
 TEST(PowerSource, TraceWithoutEnergyIsRejectedAtConstruction)

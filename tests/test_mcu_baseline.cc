@@ -17,7 +17,11 @@
 #include "baseline/selector.hh"
 #include "exp/names.hh"
 #include "exp/runner.hh"
+#include "exp/workloads.hh"
+#include "harvest_oracles.hh"
+#include "inject/idempotence.hh"
 #include "inject/mcu_campaign.hh"
+#include "inject/workload.hh"
 
 namespace mouse
 {
@@ -48,18 +52,18 @@ TEST(EhScheme, CostStructureMatchesTheDatasheet)
     const auto odab = mcu::makeEhScheme("odab");
     const auto clank = mcu::makeEhScheme("clank");
     // Oracle: free and perfect.
-    EXPECT_EQ(oracle->perOpEnergy(), 0.0);
-    EXPECT_EQ(oracle->backupEnergy(), 0.0);
-    EXPECT_EQ(oracle->restoreEnergy(), 0.0);
+    EXPECT_EQ(oracle->perOp.energy, 0.0);
+    EXPECT_EQ(oracle->backup.energy, 0.0);
+    EXPECT_EQ(oracle->restore.energy, 0.0);
     // BEC pays on every op, nothing at the outage.
-    EXPECT_DOUBLE_EQ(bec->perOpEnergy(), mcu::kBecBackupEnergy);
-    EXPECT_EQ(bec->backupEnergy(), 0.0);
+    EXPECT_DOUBLE_EQ(bec->perOp.energy, mcu::kBecBackupEnergy);
+    EXPECT_EQ(bec->backup.energy, 0.0);
     // ODAB pays just-in-time at the outage (the reserved headroom).
-    EXPECT_EQ(odab->perOpEnergy(), 0.0);
-    EXPECT_DOUBLE_EQ(odab->backupEnergy(), mcu::kOdabBackupEnergy);
+    EXPECT_EQ(odab->perOp.energy, 0.0);
+    EXPECT_DOUBLE_EQ(odab->backup.energy, mcu::kOdabBackupEnergy);
     // Clank monitors every op and checkpoints region boundaries.
-    EXPECT_GT(clank->perOpEnergy(), 0.0);
-    EXPECT_DOUBLE_EQ(clank->checkpointEnergy(),
+    EXPECT_GT(clank->perOp.energy, 0.0);
+    EXPECT_DOUBLE_EQ(clank->checkpoint.energy,
                      mcu::kClankCheckpointEnergy);
 }
 
@@ -209,6 +213,134 @@ TEST(McuModel, WatchdogBreaksRegionsLongerThanOneBurst)
     // checkpoints are charged as backup energy.
     EXPECT_GT(run.instructionsDead, 0u);
     EXPECT_GT(run.backupEnergy, 0.0);
+}
+
+TEST(McuModel, NonTerminationIsFatal)
+{
+    // One op that costs more than the whole operating window can
+    // never commit: the shared loop gives up after
+    // nonTerminationLimit + 1 bursts, with the message MOUSE uses.
+    mcu::McuProgram prog;
+    mcu::McuBlock block;
+    block.count = 1;
+    block.per.energy = 1.0;
+    block.per.seconds = 1e-3;
+    prog.blocks = {block};
+    prog.blockStart = {0, 1};
+    prog.totalOps = 1;
+    prog.totalEnergy = block.per.energy;
+    prog.totalSeconds = block.per.seconds;
+    mcu::setCheckpoints(prog, {0});
+    HarvestConfig harvest;
+    harvest.source = SourceSpec::constant(1e-3);
+    EXPECT_EXIT(mcu::mcuRunHarvested(prog, *mcu::makeEhScheme("bec"),
+                                     harvest),
+                ::testing::ExitedWithCode(1), "non-termination");
+}
+
+// -- One harvested loop for both systems ----------------------------
+
+TEST(HarvestLoop, MatchesThePerOutageLoopsOfBothSystems)
+{
+    // The paper benchmarks under MOUSE and every MCU scheme, across
+    // sources (constant, bursty, the solar corpus trace, the
+    // harvest-matrix square wave) and Clank region / checkpoint
+    // periods: stepping over repeated outage cycles — in closed form
+    // or by walking their clock — must land on the outage-by-outage
+    // counts exactly and on its doubles to rounding.
+    const std::vector<std::pair<const char *, SourceSpec>> sources = {
+        {"60uW", SourceSpec::constant(60e-6)},
+        {"1mW", SourceSpec::constant(1e-3)},
+        {"solar", SourceSpec::corpusTrace("solar-day-night")},
+        {"rf", SourceSpec::corpusTrace("rf-bursty")},
+        {"square", SourceSpec::square(0.01, 0.3, 200e-6 / 0.3)},
+    };
+    constexpr double kRel = 1e-11;
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ModernStt));
+    const EnergyModel energy(lib);
+    std::size_t cases = 0;
+    std::uint64_t outages = 0;
+    for (const exp::Benchmark &bench : exp::paperBenchmarks()) {
+        const Trace trace = exp::traceFor(lib, bench);
+        for (const auto &[sourceName, source] : sources) {
+            for (const unsigned period : {0u, 8u, 100u, 1000u}) {
+                HarvestConfig harvest;
+                harvest.source = source;
+                harvest.platform = "mementos";
+                harvest.checkpointPeriod = std::max(period, 1u);
+                const std::string label = bench.name + "/" +
+                                          sourceName + "/period " +
+                                          std::to_string(period);
+                const RunStats mouse =
+                    perCycleReference(trace, energy, harvest);
+                expectSameRun(runHarvestedTrace(trace, energy, harvest),
+                              mouse, kRel, label + "/mouse");
+                outages += mouse.outages;
+                ++cases;
+                const mcu::McuProgram prog =
+                    mcu::mcuProgramFromTrace(trace, period);
+                for (const std::string &name : mcu::ehSchemeNames()) {
+                    const auto scheme = mcu::makeEhScheme(name);
+                    const RunStats want =
+                        mcuPerOutageReference(prog, *scheme, harvest);
+                    expectSameRun(
+                        mcu::mcuRunHarvested(prog, *scheme, harvest),
+                        want, kRel, label + "/" + name);
+                    outages += want.outages;
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 600u);
+    EXPECT_GT(outages, 10000000u) << outages;
+
+    // A run that starts at the shutdown voltage, on both systems.
+    const Trace har = exp::traceFor(lib, exp::paperBenchmarks()[2]);
+    HarvestConfig warm;
+    warm.source = SourceSpec::square(0.01, 0.3, 200e-6 / 0.3);
+    warm.platform = "mementos";
+    warm.startEmpty = false;
+    expectSameRun(runHarvestedTrace(har, energy, warm),
+                  perCycleReference(har, energy, warm), kRel,
+                  "startEmpty = false/mouse");
+    mcu::McuProgram prog = mcu::mcuProgramFromTrace(har);
+    for (const std::string &name : mcu::ehSchemeNames()) {
+        const auto scheme = mcu::makeEhScheme(name);
+        expectSameRun(mcu::mcuRunHarvested(prog, *scheme, warm),
+                      mcuPerOutageReference(prog, *scheme, warm), kRel,
+                      "startEmpty = false/" + name);
+    }
+
+    // Non-uniform Clank regions: the WAR-safe placement of a campaign
+    // program, and uniform regions with one boundary moved.
+    const auto clank = mcu::makeEhScheme("clank");
+    const auto w = inject::makeCampaignWorkload("gates");
+    ASSERT_TRUE(w.has_value());
+    mcu::McuProgram gates = mcu::mcuProgramFromProgram(w->program, 8);
+    const std::vector<std::uint32_t> pcs =
+        inject::idempotentCheckpoints(w->program, 8);
+    mcu::setCheckpoints(
+        gates, std::vector<std::uint64_t>(pcs.begin(), pcs.end()));
+    HarvestConfig small;
+    small.source = SourceSpec::constant(60e-6);
+    small.capacitanceOverride = 1e-8;
+    const RunStats gatesWant =
+        mcuPerOutageReference(gates, *clank, small);
+    EXPECT_GT(gatesWant.outages, 10u) << gatesWant.outages;
+    expectSameRun(mcu::mcuRunHarvested(gates, *clank, small),
+                  gatesWant, kRel, "idempotent placement");
+    std::vector<std::uint64_t> moved = prog.checkpoints;
+    moved[moved.size() / 2] += 1;
+    mcu::setCheckpoints(prog, moved);
+    HarvestConfig constant;
+    constant.source = SourceSpec::constant(60e-6);
+    constant.platform = "mementos";
+    const RunStats movedWant =
+        mcuPerOutageReference(prog, *clank, constant);
+    EXPECT_GT(movedWant.outages, 10000u) << movedWant.outages;
+    expectSameRun(mcu::mcuRunHarvested(prog, *clank, constant),
+                  movedWant, kRel, "one boundary moved");
 }
 
 // -- Fault-injection conformance ------------------------------------

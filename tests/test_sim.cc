@@ -17,6 +17,7 @@
 #include "exp/workloads.hh"
 #include "sim/simulator.hh"
 #include "sim/termination.hh"
+#include "harvest_oracles.hh"
 
 namespace mouse
 {
@@ -365,133 +366,6 @@ TEST(RunStatsDerived, SummaryIsCompleteForZeroAndPopulatedStats)
     EXPECT_NE(text.find("2 outages"), std::string::npos) << text;
     EXPECT_NE(text.find("latency [us]"), std::string::npos) << text;
     EXPECT_NE(text.find("energy [uJ]"), std::string::npos) << text;
-}
-
-/**
- * Oracle for runHarvestedTrace: the harvested trace loop walking
- * every outage one at a time, as it did before repeated outage cycles
- * were stepped over in closed form.  No telemetry, and non-
- * termination is a test failure instead of a fatal error.
- */
-RunStats
-perCycleReference(const Trace &trace, const EnergyModel &energy,
-                  const HarvestConfig &harvest)
-{
-    RunStats stats;
-    const Seconds cycle = energy.cycleTime();
-    const DeviceConfig &dev = energy.config();
-    Capacitor cap(effectiveCapacitance(harvest, dev.bufferCapacitance),
-                  harvest.startEmpty ? 0.0 : dev.capVoltageLow);
-    const SwitchedCapConverter converter(
-        effectiveConverterEfficiency(harvest));
-    const std::unique_ptr<PowerSource> source = harvest.source.make();
-    Seconds now = 0.0;
-    const auto recharge = [&] {
-        const Seconds dt = source->timeToHarvest(
-            cap.energyTo(dev.capVoltageHigh), now, 1.0);
-        stats.chargingTime += dt;
-        now += dt;
-        cap.setVoltage(dev.capVoltageHigh);
-    };
-    recharge();
-
-    const unsigned period = std::max(1u, harvest.checkpointPeriod);
-    std::uint64_t uncheckpointed = 0;
-    for (const TraceBlock &blk : trace.blocks) {
-        Joules exec = energy.fetchEnergy() +
-                      energy.estimateInstructionEnergy(
-                          blk.op, blk.touchedCols);
-        Joules backup = energy.backupEnergyPerCycle();
-        if (blk.op == Opcode::kActivateList ||
-            blk.op == Opcode::kActivateRange) {
-            backup += energy.actRegisterBackupEnergy();
-        }
-        backup /= period;
-        const Joules total = exec + backup;
-        const Joules buffer_cost = converter.bufferEnergyFor(total);
-        std::uint64_t remaining = blk.count;
-        unsigned consecutive_failures = 0;
-        while (remaining > 0) {
-            const Joules avail = cap.energyAbove(dev.capVoltageLow);
-            const Joules credit = source->power(now) * cycle;
-            const Joules net =
-                buffer_cost > credit ? buffer_cost - credit : 0.0;
-            const std::uint64_t fit =
-                net > 0.0 ? static_cast<std::uint64_t>(avail / net)
-                          : remaining;
-            const std::uint64_t n = std::min(remaining, fit);
-            if (n > 0) {
-                consecutive_failures = 0;
-                const double nd = static_cast<double>(n);
-                cap.draw(net * nd);
-                now += cycle * nd;
-                stats.computeEnergy += exec * nd;
-                stats.backupEnergy += backup * nd;
-                stats.activeTime += cycle * nd;
-                stats.instructionsCommitted += n;
-                uncheckpointed = (uncheckpointed + n) % period;
-                remaining -= n;
-                continue;
-            }
-            const double fraction =
-                buffer_cost > 0.0 ? avail / buffer_cost : 0.0;
-            stats.deadEnergy += avail * converter.efficiency();
-            stats.deadTime += cycle * std::min(1.0, fraction);
-            now += cycle * std::min(1.0, fraction);
-            ++stats.instructionsDead;
-            ++stats.outages;
-            cap.draw(avail);
-
-            recharge();
-            const Joules restore =
-                energy.restoreEnergy(1, blk.activeColsAfter);
-            stats.restoreEnergy += restore;
-            stats.restoreTime += cycle;
-            now += cycle;
-            cap.draw(converter.bufferEnergyFor(restore));
-
-            if (uncheckpointed > 0) {
-                const double replay =
-                    static_cast<double>(uncheckpointed);
-                stats.deadEnergy += total * replay;
-                stats.deadTime += cycle * replay;
-                ++stats.instructionsDead;
-                now += cycle * replay;
-                cap.draw(converter.bufferEnergyFor(total * replay));
-                uncheckpointed = 0;
-            }
-            if (++consecutive_failures > harvest.nonTerminationLimit) {
-                ADD_FAILURE() << "reference run does not terminate";
-                return stats;
-            }
-        }
-    }
-    stats.idleEnergy += energy.idlePower() * stats.activeTime;
-    return stats;
-}
-
-/** Integer counters exactly, every double to @p rel relative. */
-void
-expectSameRun(const RunStats &got, const RunStats &want, double rel,
-              const std::string &label)
-{
-    EXPECT_EQ(got.instructionsCommitted, want.instructionsCommitted)
-        << label;
-    EXPECT_EQ(got.instructionsDead, want.instructionsDead) << label;
-    EXPECT_EQ(got.outages, want.outages) << label;
-    const auto near = [&](double a, double b, const char *field) {
-        EXPECT_LE(std::fabs(a - b), rel * std::fabs(b))
-            << label << " " << field << ": " << a << " vs " << b;
-    };
-    near(got.activeTime, want.activeTime, "activeTime");
-    near(got.deadTime, want.deadTime, "deadTime");
-    near(got.restoreTime, want.restoreTime, "restoreTime");
-    near(got.chargingTime, want.chargingTime, "chargingTime");
-    near(got.computeEnergy, want.computeEnergy, "computeEnergy");
-    near(got.backupEnergy, want.backupEnergy, "backupEnergy");
-    near(got.deadEnergy, want.deadEnergy, "deadEnergy");
-    near(got.restoreEnergy, want.restoreEnergy, "restoreEnergy");
-    near(got.idleEnergy, want.idleEnergy, "idleEnergy");
 }
 
 TEST(HarvestedTrace, CycleSkipMatchesPerCycleReference)
