@@ -298,6 +298,35 @@ BENCHMARK(BM_Fig9GridPoints)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * The runner's per-call floor: a forEach of 144 no-op indices (the
+ * size of the paper-sweep grid) on one long-lived runner, so only
+ * the fan-out itself is timed.  Arg = threads.  The host decides how
+ * this scales, so no ratio of it is gated.
+ */
+void
+BM_RunnerFanOut(benchmark::State &state)
+{
+    constexpr std::size_t kIndices = 144;
+    const exp::ExperimentRunner runner(
+        static_cast<unsigned>(state.range(0)));
+    std::vector<std::size_t> seen(kIndices);
+    for (auto _ : state) {
+        runner.forEach(kIndices, [&](std::size_t i) { seen[i] = i; });
+        benchmark::DoNotOptimize(seen.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kIndices));
+}
+BENCHMARK(BM_RunnerFanOut)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -2,10 +2,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "baseline/mcu/mcu_model.hh"
 #include "baseline/selector.hh"
@@ -31,8 +34,156 @@ elapsed(std::chrono::steady_clock::time_point t0)
 
 } // namespace
 
+/**
+ * The runner's parked workers.  A fan-out publishes one job (fn,
+ * count, how many workers join) under the mutex and bumps the
+ * generation; the joining workers and the caller then pull indices
+ * from one atomic cursor.  Workers start on the first fan-out that
+ * needs them and park on the condition variable between jobs.  One
+ * job runs at a time: a call that finds the pool busy returns false
+ * and its caller runs the job inline instead.
+ */
+class ExperimentRunner::Pool
+{
+  public:
+    Pool() = default;
+    Pool(const Pool &) = delete;
+    Pool &operator=(const Pool &) = delete;
+
+    ~Pool()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stop_ = true;
+        }
+        wake_.notify_all();
+        for (std::thread &t : workers_) {
+            t.join();
+        }
+    }
+
+    /** Run fn over [0, count) on the caller plus up to @p helpers
+     *  workers; false (nothing run) when another job holds the
+     *  pool. */
+    bool
+    run(std::size_t count, unsigned helpers,
+        const std::function<void(std::size_t)> &fn)
+    {
+        if (busy_.exchange(true)) {
+            return false;
+        }
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (workers_.size() < helpers) {
+            try {
+                workers_.emplace_back(&Pool::work, this,
+                                      static_cast<unsigned>(
+                                          workers_.size()),
+                                      generation_);
+            } catch (...) {
+                break; // no thread to spare: run with those there are
+            }
+        }
+        if (workers_.empty()) {
+            lock.unlock();
+            busy_ = false;
+            return false;
+        }
+        helpers = std::min<unsigned>(
+            helpers, static_cast<unsigned>(workers_.size()));
+        fn_ = &fn;
+        count_ = count;
+        joining_ = helpers;
+        cursor_.store(0, std::memory_order_relaxed);
+        ++generation_;
+        lock.unlock();
+        wake_.notify_all();
+
+        drain(fn, count);
+
+        // Every index is taken: a worker that has not woken yet has
+        // nothing left to do, so close the job to it instead of
+        // waiting for it.
+        lock.lock();
+        joining_ = 0;
+        done_.wait(lock, [&] { return running_ == 0; });
+        std::exception_ptr error = std::exchange(error_, nullptr);
+        lock.unlock();
+        busy_ = false;
+        if (error) {
+            std::rethrow_exception(error);
+        }
+        return true;
+    }
+
+  private:
+    /** Pull indices until the cursor passes @p count. */
+    void
+    drain(const std::function<void(std::size_t)> &fn,
+          std::size_t count)
+    {
+        while (true) {
+            const std::size_t i =
+                cursor_.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count) {
+                return;
+            }
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (!error_) {
+                    error_ = std::current_exception();
+                }
+            }
+        }
+    }
+
+    void
+    work(unsigned id, std::uint64_t seen)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (true) {
+            wake_.wait(lock,
+                       [&] { return stop_ || generation_ != seen; });
+            if (stop_) {
+                return;
+            }
+            seen = generation_;
+            if (id >= joining_) {
+                continue;
+            }
+            ++running_;
+            const std::function<void(std::size_t)> &fn = *fn_;
+            const std::size_t count = count_;
+            lock.unlock();
+            drain(fn, count);
+            lock.lock();
+            if (--running_ == 0) {
+                done_.notify_one();
+            }
+        }
+    }
+
+    /** Held by the one job on the pool. */
+    std::atomic<bool> busy_{false};
+    std::atomic<std::size_t> cursor_{0};
+    std::mutex mutex_;
+    // The current job and the workers' state; guarded by mutex_.
+    const std::function<void(std::size_t)> *fn_ = nullptr;
+    std::size_t count_ = 0;
+    /** Workers with a smaller id join the job; 0 once closed. */
+    unsigned joining_ = 0;
+    unsigned running_ = 0;
+    std::uint64_t generation_ = 0;
+    bool stop_ = false;
+    std::exception_ptr error_;
+    std::condition_variable wake_;
+    std::condition_variable done_;
+    std::vector<std::thread> workers_;
+};
+
 ExperimentRunner::ExperimentRunner(unsigned threads)
-    : threads_(threads)
+    : threads_(threads), pool_(std::make_unique<Pool>())
 {
     if (threads_ == 0) {
         threads_ = std::thread::hardware_concurrency();
@@ -42,6 +193,8 @@ ExperimentRunner::ExperimentRunner(unsigned threads)
     }
 }
 
+ExperimentRunner::~ExperimentRunner() = default;
+
 void
 ExperimentRunner::forEach(
     std::size_t count,
@@ -50,43 +203,24 @@ ExperimentRunner::forEach(
     if (count == 0) {
         return;
     }
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(threads_, count));
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < count; ++i) {
-            fn(i);
-        }
+    // The caller runs its own share, so min(threads, count) - 1
+    // workers join it.  A busy pool (a forEach from inside fn, or a
+    // second thread on this runner) runs the call inline.
+    const unsigned helpers =
+        static_cast<unsigned>(std::min<std::size_t>(threads_, count)) -
+        1;
+    if (helpers > 0 && pool_->run(count, helpers, fn)) {
         return;
     }
-
-    std::atomic<std::size_t> cursor{0};
     std::exception_ptr first_error;
-    std::mutex error_mutex;
-    auto worker = [&]() {
-        while (true) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count) {
-                return;
-            }
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error) {
-                    first_error = std::current_exception();
-                }
+    for (std::size_t i = 0; i < count; ++i) {
+        try {
+            fn(i);
+        } catch (...) {
+            if (!first_error) {
+                first_error = std::current_exception();
             }
         }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-        pool.emplace_back(worker);
-    }
-    for (auto &t : pool) {
-        t.join();
     }
     if (first_error) {
         std::rethrow_exception(first_error);
@@ -104,8 +238,8 @@ ExperimentRunner::run(const SweepGrid &grid) const
 
     // Shared immutable contexts: one gate library + energy model per
     // (tech, margin), one trace per (tech, margin, benchmark).  Both
-    // levels are themselves built in parallel, then only read during
-    // the point runs.
+    // are built serially here (a few gate solves and memoized
+    // traceFor calls), then only read during the point runs.
     struct Context
     {
         std::unique_ptr<GateLibrary> lib;
@@ -113,21 +247,21 @@ ExperimentRunner::run(const SweepGrid &grid) const
     };
     const std::size_t nctx = grid.techs.size() * grid.margins.size();
     std::vector<Context> contexts(nctx);
-    forEach(nctx, [&](std::size_t i) {
+    for (std::size_t i = 0; i < nctx; ++i) {
         const TechConfig tech = grid.techs[i / grid.margins.size()];
         const double margin = grid.margins[i % grid.margins.size()];
         contexts[i].lib = std::make_unique<GateLibrary>(
             makeDeviceConfig(tech), margin);
         contexts[i].energy =
             std::make_unique<EnergyModel>(*contexts[i].lib);
-    });
+    }
 
     const std::size_t nbench = grid.benchmarks.size();
     std::vector<Trace> traces(nctx * nbench);
-    forEach(traces.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < traces.size(); ++i) {
         traces[i] = traceFor(*contexts[i / nbench].lib,
                              grid.benchmarks[i % nbench]);
-    });
+    }
 
     SweepResult result;
     result.grid = grid;

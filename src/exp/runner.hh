@@ -2,14 +2,14 @@
  * @file
  * The parallel experiment engine.
  *
- * ExperimentRunner fans the points of a SweepGrid out across a fixed
- * pool of worker threads (work is stolen from a shared atomic
- * cursor) and aggregates the RunResults into an index-keyed
- * SweepResult table.  Determinism is by construction: a point's
- * inputs — shared immutable GateLibrary/EnergyModel/Trace contexts
- * plus a seed derived from (rootSeed, index) — depend only on its
- * grid index, never on the thread or schedule, so an N-thread run is
- * bit-identical to a serial one.
+ * ExperimentRunner fans the points of a SweepGrid out across a pool
+ * of worker threads that lives as long as the runner (work is stolen
+ * from a shared atomic cursor) and aggregates the RunResults into an
+ * index-keyed SweepResult table.  Determinism is by construction: a
+ * point's inputs — shared immutable GateLibrary/EnergyModel/Trace
+ * contexts plus a seed derived from (rootSeed, index) — depend only
+ * on its grid index, never on the thread or schedule, so an N-thread
+ * run is bit-identical to a serial one.
  *
  * The generic forEach()/map() primitives are public so benches can
  * parallelize sweeps whose per-point work is not a plain trace
@@ -20,6 +20,7 @@
 #define MOUSE_EXP_RUNNER_HH
 
 #include <functional>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -60,12 +61,22 @@ struct SweepResult
     std::string toJson() const;
 };
 
-/** Fixed-pool parallel runner with deterministic aggregation. */
+/**
+ * Parallel runner with deterministic aggregation.  Each runner owns
+ * one worker pool for its lifetime: workers start on the first
+ * fan-out that needs them (never more than threads() - 1, since the
+ * calling thread runs its own share), park between calls and are
+ * joined by the destructor.
+ */
 class ExperimentRunner
 {
   public:
-    /** @param threads Worker count; 0 means hardware_concurrency. */
+    /** @param threads Threads a fan-out runs on, the caller
+     *  included; 0 means hardware_concurrency. */
     explicit ExperimentRunner(unsigned threads = 0);
+    ~ExperimentRunner();
+    ExperimentRunner(const ExperimentRunner &) = delete;
+    ExperimentRunner &operator=(const ExperimentRunner &) = delete;
 
     unsigned
     threads() const
@@ -97,8 +108,12 @@ class ExperimentRunner
 
     /**
      * Invoke fn(i) for every i in [0, count), distributing indices
-     * across the pool; blocks until all complete.  fn must not
-     * mutate shared state without its own synchronization.
+     * across the caller and the pool; blocks until all complete.  If
+     * fn throws, the remaining indices still run and the first
+     * exception is rethrown.  fn must not mutate shared state
+     * without its own synchronization.  A call that finds the pool
+     * busy — a forEach from inside fn, or a second thread sharing
+     * this runner — runs inline and serially on its own thread.
      */
     void forEach(std::size_t count,
                  const std::function<void(std::size_t)> &fn) const;
@@ -119,13 +134,17 @@ class ExperimentRunner
     /**
      * Run every point of @p grid and collect the index-keyed result
      * table.  Shared per-(tech, margin) gate libraries and
-     * per-(tech, margin, benchmark) traces are built once (also in
-     * parallel) and read concurrently by the point runs.
+     * per-(tech, margin, benchmark) traces are built once, serially
+     * on the calling thread, and read concurrently by the point
+     * runs.
      */
     SweepResult run(const SweepGrid &grid) const;
 
   private:
+    class Pool;
+
     unsigned threads_;
+    std::unique_ptr<Pool> pool_;
     std::function<void(std::size_t, std::size_t)> progress_;
     obs::MetricsHub *metrics_ = nullptr;
 };

@@ -9,40 +9,13 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/harvest_loop.hh"
+#include "sim/instr_cost.hh"
 
 namespace mouse
 {
 
 namespace
 {
-
-/** Per-instruction cost split used by both runners. */
-struct InstrCost
-{
-    Joules exec = 0.0;    ///< fetch + array + peripherals
-    Joules backup = 0.0;  ///< NV checkpoint writes
-
-    Joules
-    total() const
-    {
-        return exec + backup;
-    }
-};
-
-InstrCost
-traceInstrCost(const EnergyModel &energy, const TraceBlock &blk)
-{
-    InstrCost cost;
-    cost.exec = energy.fetchEnergy() +
-                energy.estimateInstructionEnergy(blk.op,
-                                                 blk.touchedCols);
-    cost.backup = energy.backupEnergyPerCycle();
-    if (blk.op == Opcode::kActivateList ||
-        blk.op == Opcode::kActivateRange) {
-        cost.backup += energy.actRegisterBackupEnergy();
-    }
-    return cost;
-}
 
 /**
  * Telemetry probe shared by the four runners.  Holds raw pointers
@@ -998,7 +971,10 @@ runHarvestedFunctional(Controller &ctrl, const HarvestConfig &harvest,
     Rng rng(harvest.seed);
     env.rechargeTo(env.vHigh, stats);
 
-    unsigned consecutive_failures = 0;
+    // Bursts in a row that committed nothing, and the commit count
+    // the current burst started from (the rule runHarvestLoop uses).
+    unsigned idle = 0;
+    std::uint64_t burstStart = 0;
     while (!ctrl.halted()) {
         const Instruction inst = ctrl.peekInstruction();
         InstrCost cost;
@@ -1018,7 +994,6 @@ runHarvestedFunctional(Controller &ctrl, const HarvestConfig &harvest,
         const Joules avail = env.available();
 
         if (avail >= buffer_cost) {
-            consecutive_failures = 0;
             const std::size_t pc = ctrl.pc();
             const StepResult r = ctrl.step();
             env.drawLoad(r.energy);
@@ -1078,7 +1053,9 @@ runHarvestedFunctional(Controller &ctrl, const HarvestConfig &harvest,
         env.advance(cycle * static_cast<double>(rr.restoreCycles));
         env.drawLoad(rr.restoreEnergy);
 
-        if (++consecutive_failures > harvest.nonTerminationLimit) {
+        idle = stats.instructionsCommitted > burstStart ? 0 : idle + 1;
+        burstStart = stats.instructionsCommitted;
+        if (idle > harvest.nonTerminationLimit) {
             mouse_fatal("non-termination at PC %zu: instruction "
                         "needs %.3g J but a full burst provides "
                         "%.3g J",

@@ -69,8 +69,9 @@ struct HarvestConfig
     /** Start from an empty buffer (the paper's initial condition);
      *  when false the buffer starts at the shutdown voltage. */
     bool startEmpty = true;
-    /** Consecutive failed attempts at one instruction before the run
-     *  is declared non-terminating. */
+    /** Bursts in a row that commit no instruction before the run
+     *  is declared non-terminating; 0 requires every burst to
+     *  commit at least one. */
     unsigned nonTerminationLimit = 8;
     /**
      * Checkpoint period in instructions (Section IV-D study knob).

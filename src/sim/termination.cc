@@ -1,28 +1,13 @@
 #include "termination.hh"
 
 #include "common/logging.hh"
+#include "sim/instr_cost.hh"
 
 namespace mouse
 {
 
 namespace
 {
-
-/** Load-side cost of one instruction of a block. */
-Joules
-blockInstructionEnergy(const EnergyModel &energy,
-                       const TraceBlock &blk)
-{
-    Joules e = energy.fetchEnergy() +
-               energy.estimateInstructionEnergy(blk.op,
-                                                blk.touchedCols);
-    e += energy.backupEnergyPerCycle();
-    if (blk.op == Opcode::kActivateList ||
-        blk.op == Opcode::kActivateRange) {
-        e += energy.actRegisterBackupEnergy();
-    }
-    return e;
-}
 
 Joules
 burstEnergyFor(const DeviceConfig &cfg, Farads capacitance)
@@ -52,7 +37,7 @@ analyzeTermination(const Trace &trace, const EnergyModel &energy,
     Joules worst_total = 0.0;
     for (std::size_t i = 0; i < trace.blocks.size(); ++i) {
         const TraceBlock &blk = trace.blocks[i];
-        const Joules instr = blockInstructionEnergy(energy, blk);
+        const Joules instr = traceInstrCost(energy, blk).total();
         const Joules restore =
             energy.restoreEnergy(1, blk.activeColsAfter);
         if (instr + restore > worst_total) {

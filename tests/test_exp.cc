@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "exp/names.hh"
 #include "exp/runner.hh"
@@ -257,6 +260,122 @@ TEST(ExperimentRunner, ScenarioSweepIsByteIdenticalAcrossThreads)
         render(exp::ExperimentRunner(4).run(grid));
     EXPECT_EQ(serial, parallel);
     EXPECT_NE(serial.find("rf-bursty/nvp"), std::string::npos);
+}
+
+/** Every point's stats and provenance, without wall clocks. */
+std::string
+renderPoints(const exp::SweepResult &res)
+{
+    std::string doc;
+    for (const RunResult &r : res.points) {
+        doc += r.meta.tech + "/" + r.meta.benchmark + "/" +
+               std::to_string(r.meta.seed) + ":" + toJson(r.stats) +
+               "\n";
+    }
+    return doc;
+}
+
+TEST(ExperimentRunner, RepeatedRunsOnOneRunnerMatchAFreshSerialRun)
+{
+    // The pool parks between calls; twenty passes on one runner must
+    // each equal a fresh 1-thread pass byte for byte.
+    const exp::SweepGrid grid = smallGrid();
+    const std::string want =
+        renderPoints(exp::ExperimentRunner(1).run(grid));
+    const exp::ExperimentRunner runner(4);
+    for (int pass = 0; pass < 20; ++pass) {
+        EXPECT_EQ(renderPoints(runner.run(grid)), want)
+            << "pass " << pass;
+    }
+}
+
+TEST(ExperimentRunner, NeverUsesMoreThreadsThanAsked)
+{
+    // The caller runs its own share, so a 3-thread runner uses at
+    // most 3 distinct threads across all its calls.
+    const exp::ExperimentRunner runner(3);
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    for (int call = 0; call < 10; ++call) {
+        runner.forEach(64, [&](std::size_t) {
+            std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+        });
+    }
+    EXPECT_LE(ids.size(), 3u);
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
+}
+
+TEST(ExperimentRunner, ThrowingForEachLeavesThePoolUsable)
+{
+    const exp::ExperimentRunner runner(4);
+    constexpr std::size_t kCount = 97;
+    std::vector<std::atomic<int>> visits(kCount);
+    EXPECT_THROW(runner.forEach(kCount,
+                                [&](std::size_t i) {
+                                    visits[i].fetch_add(1);
+                                    if (i % 10 == 3) {
+                                        throw std::runtime_error("boom");
+                                    }
+                                }),
+                 std::runtime_error);
+    // Every index still ran once, the throwing ones included.
+    for (std::size_t i = 0; i < kCount; ++i) {
+        EXPECT_EQ(visits[i].load(), 1) << i;
+    }
+    std::vector<std::atomic<int>> again(kCount);
+    runner.forEach(kCount, [&](std::size_t i) { again[i].fetch_add(1); });
+    for (std::size_t i = 0; i < kCount; ++i) {
+        EXPECT_EQ(again[i].load(), 1) << i;
+    }
+}
+
+TEST(ExperimentRunner, NestedForEachOnTheSameRunnerCompletes)
+{
+    const exp::ExperimentRunner runner(4);
+    constexpr std::size_t kOuter = 8;
+    constexpr std::size_t kInner = 16;
+    std::vector<std::atomic<int>> visits(kOuter * kInner);
+    runner.forEach(kOuter, [&](std::size_t o) {
+        runner.forEach(kInner, [&](std::size_t i) {
+            visits[o * kInner + i].fetch_add(1);
+        });
+    });
+    for (const std::atomic<int> &v : visits) {
+        EXPECT_EQ(v.load(), 1);
+    }
+}
+
+TEST(ExperimentRunner, TwoThreadsSharingARunnerBothComplete)
+{
+    const exp::SweepGrid grid = smallGrid();
+    const exp::ExperimentRunner runner(4);
+    std::string a;
+    std::string b;
+    std::thread other([&] {
+        for (int pass = 0; pass < 3; ++pass) {
+            a = renderPoints(runner.run(grid));
+        }
+    });
+    for (int pass = 0; pass < 3; ++pass) {
+        b = renderPoints(runner.run(grid));
+    }
+    other.join();
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a, renderPoints(exp::ExperimentRunner(1).run(grid)));
+}
+
+TEST(ExperimentRunner, DestroysCleanlyIdleOrRightAfterACall)
+{
+    {
+        const exp::ExperimentRunner idle(4);
+    }
+    std::atomic<int> visits{0};
+    {
+        const exp::ExperimentRunner runner(4);
+        runner.forEach(32, [&](std::size_t) { visits.fetch_add(1); });
+    }
+    EXPECT_EQ(visits.load(), 32);
 }
 
 TEST(ExperimentRunner, CheckpointPeriodAxisChangesBackupEnergy)

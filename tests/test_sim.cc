@@ -252,6 +252,37 @@ TEST_F(SimTest, MoreOutagesAtLowerPowerAndDeadEnergyOrdering)
     }
 }
 
+TEST_F(SimTest, ZeroNonTerminationLimitAllowsBurstsThatCommit)
+{
+    // nonTerminationLimit counts bursts that commit nothing.  With a
+    // limit of 0, a small buffer that still commits some instructions
+    // in every burst must finish, in the functional runner as in the
+    // trace runner.
+    Word product;
+    const Program prog = buildWorkload(product);
+    EnergyModel energy(lib_);
+    HarvestConfig harvest;
+    harvest.source = SourceSpec::constant(1e-6);
+    harvest.capacitanceOverride = 1e-10; // ~12 instructions a burst
+    harvest.nonTerminationLimit = 0;
+
+    TileGrid grid(cfg_, lib_);
+    seed(grid);
+    InstructionMemory imem(cfg_);
+    imem.load(prog.encode());
+    Controller ctrl(grid, imem, energy);
+    const RunStats functional = runHarvestedFunctional(ctrl, harvest);
+    EXPECT_GT(functional.outages, 1u);
+    EXPECT_EQ(functional.instructionsCommitted, prog.size() - 1);
+    EXPECT_EQ(readProduct(grid, product, 1), 63u * 63u);
+
+    const RunStats traced =
+        runHarvestedTrace(Trace::fromProgram(prog, cfg_), energy, harvest);
+    EXPECT_GT(traced.outages, 1u);
+    EXPECT_EQ(traced.instructionsCommitted,
+              functional.instructionsCommitted);
+}
+
 TEST_F(SimTest, ContinuousTraceHasNoIntermittentCosts)
 {
     Word product;

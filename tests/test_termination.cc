@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "compile/builder.hh"
+#include "exp/workloads.hh"
 #include "ml/mapping.hh"
 #include "obs/telemetry.hh"
 #include "sim/termination.hh"
@@ -80,6 +81,38 @@ TEST(Termination, ReportIdentifiesBindingBlock)
         trace, energy, HarvestConfig{});
     EXPECT_EQ(report.bindingBlock, 1u);
     EXPECT_GT(report.worstInstructionEnergy, 0.0);
+}
+
+TEST(Termination, PricesEveryPaperBlockLikeTheSimulator)
+{
+    // The analyzer and the trace runners price one instruction with
+    // the same expression: for every block of every paper trace, the
+    // analyzed instruction cost equals, bit for bit, what a
+    // continuous run of that one instruction charges.
+    std::size_t blocks = 0;
+    for (TechConfig tech :
+         {TechConfig::ModernStt, TechConfig::ProjectedStt,
+          TechConfig::ProjectedShe}) {
+        const GateLibrary lib(makeDeviceConfig(tech));
+        const EnergyModel energy(lib);
+        for (const exp::Benchmark &bench : exp::paperBenchmarks()) {
+            for (const TraceBlock &blk :
+                 exp::traceFor(lib, bench).blocks) {
+                Trace one;
+                one.append(blk.op, blk.touchedCols,
+                           blk.activeColsAfter, 1);
+                const TerminationReport report =
+                    analyzeTermination(one, energy, HarvestConfig{});
+                const RunStats run = runContinuousTrace(one, energy);
+                ASSERT_EQ(report.worstInstructionEnergy,
+                          run.computeEnergy + run.backupEnergy)
+                    << bench.name << " op "
+                    << static_cast<int>(blk.op);
+                ++blocks;
+            }
+        }
+    }
+    EXPECT_GT(blocks, 0u);
 }
 
 TEST(Termination, MinCapacitanceIsTight)
