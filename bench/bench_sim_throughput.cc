@@ -1,10 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator itself: gate
- * operating-point solving, tile-level functional execution,
- * trace-level simulation throughput, and the parallel experiment
- * engine's points/sec on the full Figure-9 grid (serial vs N
- * threads).  These guard against performance regressions that would
+ * operating-point solving, tile-level functional execution, one
+ * served batch, trace-level simulation throughput, and the parallel
+ * experiment engine's points/sec on the full Figure-9 grid (serial
+ * vs N threads).  These guard against performance regressions that would
  * make the Figure 9 sweeps impractical.
  */
 
@@ -14,6 +14,8 @@
 #include "baseline/mcu/mcu_model.hh"
 #include "compile/builder.hh"
 #include "controller/controller.hh"
+#include "serve/demo.hh"
+#include "serve/service.hh"
 #include "sim/simulator.hh"
 #include "workloads.hh"
 
@@ -33,23 +35,43 @@ BM_SolveGateLibrary(benchmark::State &state)
 }
 BENCHMARK(BM_SolveGateLibrary);
 
+/** Gate @p g in the first state.range(0) columns of a 1024x1024
+ *  ProjectedStt tile, on the word path or the scalar oracle. */
 void
-BM_TileGateExecution(benchmark::State &state)
+tileGateExecution(benchmark::State &state, GateType g, bool scalar)
 {
     const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
     Tile tile(1024, 1024);
     ColumnSet cols(1024);
     cols.addRange(0, static_cast<ColAddr>(state.range(0) - 1));
+    Tile::setScalarOracle(scalar);
     for (auto _ : state) {
-        auto r = tile.executeGate(lib, GateType::kNand2, {0, 2, 0},
-                                  1, cols);
+        auto r = tile.executeGate(lib, g, {0, 2, 4}, 1, cols);
         benchmark::DoNotOptimize(r);
     }
+    Tile::setScalarOracle(false);
     state.SetItemsProcessed(state.iterations() * state.range(0));
     state.counters["columns_per_gate"] =
         static_cast<double>(state.range(0));
 }
+
+void
+BM_TileGateExecution(benchmark::State &state)
+{
+    tileGateExecution(state, GateType::kNand2, false);
+}
 BENCHMARK(BM_TileGateExecution)->Arg(16)->Arg(256)->Arg(1024);
+
+/** The word path's 1- and 3-input kernels (BUF, MIN3). */
+void
+BM_TileGateExecutionByInputs(benchmark::State &state, GateType g)
+{
+    tileGateExecution(state, g, false);
+}
+BENCHMARK_CAPTURE(BM_TileGateExecutionByInputs, buf, GateType::kBuf)
+    ->Arg(1024);
+BENCHMARK_CAPTURE(BM_TileGateExecutionByInputs, min3, GateType::kMin3)
+    ->Arg(1024);
 
 /**
  * The retained per-column scalar model (the differential-test
@@ -60,22 +82,59 @@ BENCHMARK(BM_TileGateExecution)->Arg(16)->Arg(256)->Arg(1024);
 void
 BM_TileGateExecutionScalar(benchmark::State &state)
 {
-    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
-    Tile tile(1024, 1024);
-    ColumnSet cols(1024);
-    cols.addRange(0, static_cast<ColAddr>(state.range(0) - 1));
-    Tile::setScalarOracle(true);
-    for (auto _ : state) {
-        auto r = tile.executeGate(lib, GateType::kNand2, {0, 2, 0},
-                                  1, cols);
-        benchmark::DoNotOptimize(r);
-    }
-    Tile::setScalarOracle(false);
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-    state.counters["columns_per_gate"] =
-        static_cast<double>(state.range(0));
+    tileGateExecution(state, GateType::kNand2, true);
 }
 BENCHMARK(BM_TileGateExecutionScalar)->Arg(16)->Arg(256)->Arg(1024);
+
+/**
+ * One full batch of the demo BNN (256 requests) or SVM (128) on the
+ * serving geometry (ProjectedStt, 512x1024): pack every slot, run
+ * the program, read every prediction.  Weights are deployed once, as
+ * an engine that keeps serving one model does (InferenceService
+ * resets the controller between batches).
+ */
+void
+BM_ServeBatch(benchmark::State &state, bool bnn)
+{
+    serve::ServiceConfig cfg;
+    cfg.engine.tech = TechConfig::ProjectedStt;
+    cfg.engine.array.tileRows = 512;
+    cfg.engine.array.tileCols = 1024;
+    cfg.engine.array.numDataTiles = 1;
+    cfg.engine.array.numInstructionTiles = 4096;
+    cfg.workers = 1;
+    serve::InferenceService svc(cfg);
+    const serve::ModelId id = bnn ? svc.addModel(serve::demoBnn(1))
+                                  : svc.addModel(serve::demoSvm(2));
+    const serve::PackedModel &m = svc.model(id);
+    Rng rng(7);
+    std::vector<serve::Input> in;
+    for (unsigned s = 0; s < m.slots(); ++s) {
+        in.push_back(serve::randomInput(rng, m));
+    }
+    Accelerator acc(cfg.engine);
+    acc.loadProgram(m.program());
+    m.deployWeights(acc.grid());
+    std::vector<int> predicted(m.slots());
+    for (auto _ : state) {
+        acc.controller().reset();
+        for (unsigned s = 0; s < m.slots(); ++s) {
+            m.packInput(acc.grid(), s, in[s]);
+        }
+        const RunResult res = acc.execute(RunRequest{});
+        for (unsigned s = 0; s < m.slots(); ++s) {
+            predicted[s] = m.readPrediction(acc.grid(), s);
+        }
+        benchmark::DoNotOptimize(res.stats);
+        benchmark::DoNotOptimize(predicted.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(m.slots()));
+}
+BENCHMARK_CAPTURE(BM_ServeBatch, bnn, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ServeBatch, svm, false)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_FunctionalAdder(benchmark::State &state)

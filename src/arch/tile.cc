@@ -14,6 +14,153 @@ namespace
 {
 
 std::atomic<bool> g_scalar_oracle{false};
+std::atomic<bool> g_portable_popcount{false};
+
+/** Column populations per (packed input combo, actual output state). */
+using ComboCounts = std::array<std::array<std::uint64_t, 2>, 8>;
+
+/** Operands of one word-parallel gate call. */
+struct GateWords
+{
+    /** Input row planes: bit c of word w of in[i] is input i of
+     *  column 64w+c. */
+    std::array<const std::uint64_t *, 3> in{};
+    std::uint64_t *out = nullptr;
+    const ColumnSet *active = nullptr;
+    /** Words to scan (the active set is already bounds-checked). */
+    unsigned words = 0;
+    /** Bit c set: combo c draws a switching current through an
+     *  output still at its preset state. */
+    unsigned switchMask = 0;
+    /** The gate's preset output value (bit set = AP). */
+    bool preset = false;
+    /** The pulse completed, so switching outputs flip. */
+    bool apply = true;
+};
+
+/**
+ * The word loop of an N-input gate.  Each word splits its active
+ * columns into the 2^N combo masks once and counts each by actual
+ * output state, so un-preset outputs draw their honest current.
+ * Directionality: only outputs still at the preset state can flip; a
+ * switching-level current through an already-switched output cannot
+ * revert it (idempotency).  Returns the number of switched outputs.
+ */
+template <unsigned N>
+[[gnu::always_inline]] inline unsigned
+gateWordLoop(const GateWords &op, ComboCounts &counts_out)
+{
+    constexpr unsigned kCombos = 1u << N;
+    std::array<const std::uint64_t *, N> in{};
+    for (unsigned i = 0; i < N; ++i) {
+        in[i] = op.in[i];
+    }
+    std::uint64_t *const out = op.out;
+    // All ones for the combos that switch an output at preset.
+    std::array<std::uint64_t, kCombos> switching{};
+    for (unsigned c = 0; c < kCombos; ++c) {
+        switching[c] = ((op.switchMask >> c) & 1) ? ~0ULL : 0;
+    }
+    // out ^ to_preset has a bit set where the output is at preset.
+    const std::uint64_t to_preset = op.preset ? 0 : ~0ULL;
+    const std::uint64_t apply = op.apply ? ~0ULL : 0;
+    // Local so the counters can live in registers: stores to the
+    // output row could otherwise alias them.
+    ComboCounts counts{};
+    unsigned switched = 0;
+    for (unsigned w = 0; w < op.words; ++w) {
+        const std::uint64_t act = op.active->word(w);
+        if (act == 0) {
+            continue;
+        }
+        // m[combo]: active columns whose inputs read exactly combo
+        // (bit i = input i), built by splitting on one input at a time.
+        std::array<std::uint64_t, kCombos> m{};
+        m[0] = act;
+        for (unsigned i = 0; i < N; ++i) {
+            const std::uint64_t p = in[i][w];
+            const unsigned half = 1u << i;
+            for (unsigned c = 0; c < half; ++c) {
+                m[c + half] = m[c] & p;
+                m[c] &= ~p;
+            }
+        }
+        const std::uint64_t out_w = out[w];
+        std::uint64_t cand = 0;
+        for (unsigned c = 0; c < kCombos; ++c) {
+            counts[c][0] += static_cast<std::uint64_t>(
+                __builtin_popcountll(m[c] & ~out_w));
+            counts[c][1] += static_cast<std::uint64_t>(
+                __builtin_popcountll(m[c] & out_w));
+            cand |= m[c] & switching[c];
+        }
+        // Flipping an output at preset moves it to the gate's target.
+        const std::uint64_t flip = cand & (out_w ^ to_preset) & apply;
+        out[w] = out_w ^ flip;
+        switched += static_cast<unsigned>(__builtin_popcountll(flip));
+    }
+    for (unsigned c = 0; c < kCombos; ++c) {
+        counts_out[c][0] += counts[c][0];
+        counts_out[c][1] += counts[c][1];
+    }
+    return switched;
+}
+
+using GateKernel = unsigned (*)(const GateWords &, ComboCounts &);
+using GateKernels = std::array<GateKernel, 3>;
+
+template <unsigned N>
+unsigned
+gatePortable(const GateWords &op, ComboCounts &counts)
+{
+    return gateWordLoop<N>(op, counts);
+}
+
+constexpr GateKernels kPortableKernels{gatePortable<1>, gatePortable<2>,
+                                       gatePortable<3>};
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+/** The same loop compiled for the POPCNT instruction; only called
+ *  when the CPU reports it. */
+template <unsigned N>
+__attribute__((target("popcnt"))) unsigned
+gatePopcnt(const GateWords &op, ComboCounts &counts)
+{
+    return gateWordLoop<N>(op, counts);
+}
+
+GateKernels
+pickHostKernels()
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("popcnt")) {
+        return {gatePopcnt<1>, gatePopcnt<2>, gatePopcnt<3>};
+    }
+    return kPortableKernels;
+}
+#else
+GateKernels
+pickHostKernels()
+{
+    return kPortableKernels;
+}
+#endif
+
+/** The host's kernels, chosen once per process. */
+const GateKernels &
+hostKernels()
+{
+    static const GateKernels kernels = pickHostKernels();
+    return kernels;
+}
+
+const GateKernels &
+gateKernels()
+{
+    return g_portable_popcount.load(std::memory_order_relaxed)
+               ? kPortableKernels
+               : hostKernels();
+}
 
 } // namespace
 
@@ -27,6 +174,18 @@ bool
 Tile::scalarOracle()
 {
     return g_scalar_oracle.load(std::memory_order_relaxed);
+}
+
+void
+Tile::setPortablePopcount(bool enabled)
+{
+    g_portable_popcount.store(enabled, std::memory_order_relaxed);
+}
+
+bool
+Tile::hardwarePopcount()
+{
+    return gateKernels()[0] != kPortableKernels[0];
 }
 
 std::vector<ColAddr>
@@ -67,16 +226,6 @@ Tile::setBit(RowAddr row, ColAddr col, Bit value)
     }
 }
 
-void
-Tile::setColumnBits(RowAddr base, unsigned stride, ColAddr col,
-                    const std::vector<Bit> &bits)
-{
-    for (std::size_t j = 0; j < bits.size(); ++j) {
-        setBit(base + static_cast<RowAddr>(j * stride), col,
-               bits[j]);
-    }
-}
-
 std::uint64_t
 Tile::columnWord(const std::vector<RowAddr> &rows, ColAddr col) const
 {
@@ -88,17 +237,19 @@ Tile::columnWord(const std::vector<RowAddr> &rows, ColAddr col) const
     return w;
 }
 
-std::uint64_t
-Tile::activeWord(const ColumnSet &active, unsigned w) const
+unsigned
+Tile::activeWords(const ColumnSet &active) const
 {
-    const std::uint64_t raw =
-        w < active.numWords() ? active.word(w) : 0;
-    const unsigned base = w * 64;
-    const std::uint64_t valid = cols_ - base >= 64
-                                    ? ~0ULL
-                                    : (1ULL << (cols_ - base)) - 1;
-    mouse_assert((raw & ~valid) == 0, "tile address OOB");
-    return raw & valid;
+    const unsigned words = std::min(wordsPerRow_, active.numWords());
+    const unsigned tail = cols_ & 63;
+    if (tail != 0 && words == wordsPerRow_) {
+        mouse_assert((active.word(words - 1) >> tail) == 0,
+                     "tile address OOB");
+    }
+    for (unsigned w = wordsPerRow_; w < active.numWords(); ++w) {
+        mouse_assert(active.word(w) == 0, "tile address OOB");
+    }
+    return words;
 }
 
 GateExecResult
@@ -171,64 +322,26 @@ Tile::executeGate(const GateLibrary &lib, GateType g,
     result.completed = pulse_completed;
 
     const Bit preset = gatePreset(g);
-    const bool target = !preset;
     const unsigned num_combos = tbl->numCombos;
-    // Column populations per (combo, actual output state).
-    std::array<std::array<std::uint64_t, 2>, 8> counts{};
-    unsigned switched = 0;
-
-    for (unsigned w = 0; w < wordsPerRow_; ++w) {
-        const std::uint64_t act = activeWord(active, w);
-        if (act == 0) {
-            continue;
-        }
-        // Input row planes: bit c of plane[i] is input i of column c.
-        std::array<std::uint64_t, 3> plane{};
-        for (int i = 0; i < n; ++i) {
-            plane[static_cast<std::size_t>(i)] =
-                bits_[rowBase(in_rows[static_cast<std::size_t>(i)]) +
-                      w];
-        }
-        const std::size_t out_idx = rowBase(out_row) + w;
-        const std::uint64_t out_w = bits_[out_idx];
-        std::uint64_t flip = 0;
-        for (unsigned combo = 0; combo < num_combos; ++combo) {
-            // Membership mask: active columns whose inputs read
-            // exactly this combination.
-            std::uint64_t m = act;
-            for (int i = 0; i < n; ++i) {
-                const std::uint64_t p =
-                    plane[static_cast<std::size_t>(i)];
-                m &= ((combo >> i) & 1) ? p : ~p;
-            }
-            if (m == 0) {
-                continue;
-            }
-            // Split by the *actual* output state (bit set = AP) so
-            // un-preset outputs draw their honest current.
-            const std::uint64_t m_ap = m & out_w;
-            const std::uint64_t m_p = m & ~out_w;
-            counts[combo][0] +=
-                static_cast<std::uint64_t>(std::popcount(m_p));
-            counts[combo][1] +=
-                static_cast<std::uint64_t>(std::popcount(m_ap));
-            // Directionality: only outputs still at the preset state
-            // can flip; a switching-level current through an
-            // already-switched output cannot revert it (idempotency).
-            if (tbl->switches[combo][preset]) {
-                flip |= preset ? m_ap : m_p;
-            }
-        }
-        if (pulse_completed && flip != 0) {
-            bits_[out_idx] = target ? (out_w | flip) : (out_w & ~flip);
-            switched += static_cast<unsigned>(std::popcount(flip));
-        }
+    mouse_assert(n >= 1 && n <= 3 && num_combos == 1u << n,
+                 "gate operating table does not match its inputs");
+    GateWords op;
+    for (int i = 0; i < n; ++i) {
+        op.in[static_cast<std::size_t>(i)] =
+            &bits_[rowBase(in_rows[static_cast<std::size_t>(i)])];
     }
-    // Columns past the tile edge would have tripped the scalar
-    // path's bounds assert; keep that contract for oversized sets.
-    for (unsigned w = wordsPerRow_; w < active.numWords(); ++w) {
-        mouse_assert(active.word(w) == 0, "tile address OOB");
+    op.out = &bits_[rowBase(out_row)];
+    op.active = &active;
+    op.words = activeWords(active);
+    for (unsigned combo = 0; combo < num_combos; ++combo) {
+        op.switchMask |=
+            static_cast<unsigned>(tbl->switches[combo][preset]) << combo;
     }
+    op.preset = preset != 0;
+    op.apply = pulse_completed;
+    ComboCounts counts{};
+    result.switched =
+        gateKernels()[static_cast<std::size_t>(n - 1)](op, counts);
 
     // Deterministic fixed-order energy fold: one multiply per
     // (combo, out-state) bucket, always in index order, so the total
@@ -242,7 +355,6 @@ Tile::executeGate(const GateLibrary &lib, GateType g,
             }
         }
     }
-    result.switched = switched;
     return result;
 }
 
@@ -304,19 +416,16 @@ Tile::presetRow(const GateLibrary &lib, RowAddr row, Bit value,
     const double energy_fraction =
         completed ? 1.0 : cycle_fraction / pulse_fraction;
 
-    std::uint64_t pulses = 0;
-    for (unsigned wi = 0; wi < wordsPerRow_; ++wi) {
-        const std::uint64_t act = activeWord(active, wi);
-        pulses += static_cast<std::uint64_t>(std::popcount(act));
-        if (completed && act != 0) {
-            const std::size_t i = rowBase(row) + wi;
-            bits_[i] = value ? (bits_[i] | act) : (bits_[i] & ~act);
+    const unsigned words = activeWords(active);
+    if (completed) {
+        std::uint64_t *bits = &bits_[rowBase(row)];
+        for (unsigned wi = 0; wi < words; ++wi) {
+            const std::uint64_t act = active.word(wi);
+            bits[wi] = value ? (bits[wi] | act) : (bits[wi] & ~act);
         }
     }
-    for (unsigned wi = wordsPerRow_; wi < active.numWords(); ++wi) {
-        mouse_assert(active.word(wi) == 0, "tile address OOB");
-    }
-    return static_cast<double>(pulses) *
+    // One write pulse per active column, all inside the tile.
+    return static_cast<double>(active.count()) *
            (w.energy * energy_fraction);
 }
 

@@ -14,10 +14,11 @@
  * input combo, actual output state, operand row span), so each
  * 64-column word is evaluated by deriving per-combo membership masks
  * from the input row planes with bitwise ops and folding popcounts
- * against a ≤16-entry operating table (GateOpTable).  The original
- * per-column scalar model is retained behind setScalarOracle() as
- * the differential-testing oracle; see docs/ARCHITECTURE.md
- * ("Functional fast path").
+ * against a ≤16-entry operating table (GateOpTable).  That word loop
+ * is built twice, for the POPCNT instruction and portable, and picked
+ * once per process.  The original per-column scalar model is
+ * retained behind setScalarOracle() as the differential-testing
+ * oracle; see docs/ARCHITECTURE.md ("Functional fast path").
  *
  * Interrupted execution is modelled explicitly: an instruction cycle
  * of length cycleTime carries its current pulse in the first
@@ -30,9 +31,11 @@
 #ifndef MOUSE_ARCH_TILE_HH
 #define MOUSE_ARCH_TILE_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "logic/gate_library.hh"
 
@@ -67,11 +70,26 @@ class ColumnSet
         }
     }
 
+    /** Activate columns lo..hi inclusive, one masked word at a time. */
     void
     addRange(ColAddr lo, ColAddr hi)
     {
-        for (ColAddr c = lo; c <= hi; ++c) {
-            add(c);
+        if (lo > hi) {
+            return;
+        }
+        const unsigned first = lo >> 6;
+        const unsigned last = hi >> 6;
+        for (unsigned w = first; w <= last; ++w) {
+            std::uint64_t m = ~0ULL;
+            if (w == first) {
+                m &= ~0ULL << (lo & 63);
+            }
+            if (w == last) {
+                m &= ~0ULL >> (63 - (hi & 63));
+            }
+            count_ += static_cast<unsigned>(
+                std::popcount(m & ~words_[w]));
+            words_[w] |= m;
         }
     }
 
@@ -204,11 +222,30 @@ class Tile
     // not priced array instructions.
 
     /**
-     * Write @p bits down one column: bit j lands at row
-     * base + j*stride, column @p col.
+     * Write @p width <= 64 columns of @p row starting at @p col:
+     * column col + j takes bit j of @p bits (higher bits are
+     * ignored).  The field may straddle a word boundary.
      */
-    void setColumnBits(RowAddr base, unsigned stride, ColAddr col,
-                       const std::vector<Bit> &bits);
+    void
+    setRowField(RowAddr row, ColAddr col, unsigned width,
+                std::uint64_t bits)
+    {
+        mouse_assert(row < rows_ && width <= 64 &&
+                         static_cast<unsigned>(col) + width <= cols_,
+                     "tile address OOB");
+        if (width == 0) {
+            return;
+        }
+        const std::uint64_t mask = ~0ULL >> (64 - width);
+        bits &= mask;
+        const unsigned off = col & 63;
+        std::uint64_t *word = &bits_[rowBase(row) + (col >> 6)];
+        word[0] = (word[0] & ~(mask << off)) | (bits << off);
+        if (off + width > 64) {
+            const unsigned spill = 64 - off;
+            word[1] = (word[1] & ~(mask >> spill)) | (bits >> spill);
+        }
+    }
 
     /**
      * Gather the bits of one column at the given rows into a word
@@ -231,6 +268,17 @@ class Tile
     static void setScalarOracle(bool enabled);
     static bool scalarOracle();
 
+    /**
+     * The word path is compiled twice: once for the host's POPCNT
+     * instruction and once portable.  The POPCNT build is picked once
+     * per process when the CPU has it; setPortablePopcount(true)
+     * forces the portable build so tests can compare the two.  Same
+     * global, sticky contract as setScalarOracle().
+     */
+    static void setPortablePopcount(bool enabled);
+    /** True iff executeGate() currently runs the POPCNT build. */
+    static bool hardwarePopcount();
+
   private:
     /** Word index of the first word of @p row (rows are word-aligned
      *  so row planes can be combined with bitwise ops). */
@@ -249,9 +297,10 @@ class Tile
                                      unsigned span, bool pulse_completed,
                                      double energy_fraction);
 
-    /** Active-column word @p w clipped to this tile's width, with an
-     *  out-of-bounds assert matching the scalar path's. */
-    std::uint64_t activeWord(const ColumnSet &active, unsigned w) const;
+    /** Number of words of @p active to scan, after asserting that no
+     *  active column lies past the tile edge (the scalar path's
+     *  bounds contract). */
+    unsigned activeWords(const ColumnSet &active) const;
 
     unsigned rows_;
     unsigned cols_;

@@ -7,21 +7,14 @@ namespace mouse
 {
 
 void
-InstructionMemory::load(const std::vector<std::uint64_t> &words)
+InstructionMemory::load(std::vector<std::uint64_t> words)
 {
     if (words.size() > cfg_.instructionCapacity()) {
         mouse_fatal("program of %zu instructions exceeds the %zu-entry "
                     "instruction tile capacity",
                     words.size(), cfg_.instructionCapacity());
     }
-    words_ = words;
-}
-
-std::uint64_t
-InstructionMemory::fetch(std::size_t addr) const
-{
-    mouse_assert(addr < words_.size(), "instruction fetch OOB");
-    return words_[addr];
+    words_ = std::move(words);
 }
 
 TileGrid::TileGrid(const ArrayConfig &cfg, const GateLibrary &lib)

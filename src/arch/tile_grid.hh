@@ -61,12 +61,17 @@ class InstructionMemory
     explicit InstructionMemory(const ArrayConfig &cfg) : cfg_(cfg) {}
 
     /** Load a program image. @pre fits in the instruction tiles. */
-    void load(const std::vector<std::uint64_t> &words);
+    void load(std::vector<std::uint64_t> words);
 
     std::size_t size() const { return words_.size(); }
 
     /** Fetch one 64-bit instruction word. */
-    std::uint64_t fetch(std::size_t addr) const;
+    std::uint64_t
+    fetch(std::size_t addr) const
+    {
+        mouse_assert(addr < words_.size(), "instruction fetch OOB");
+        return words_[addr];
+    }
 
   private:
     ArrayConfig cfg_;

@@ -1,5 +1,7 @@
 #include "models.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "compile/builder.hh"
 #include "ml/mapping.hh"
@@ -19,6 +21,51 @@ rowsOf(const Word &w)
         rows.push_back(v.row);
     }
     return rows;
+}
+
+/** Columns col .. col+width-1 of @p row all take @p value, written
+ *  as row fields of at most 64 columns. */
+void
+fillColumns(Tile &tile, RowAddr row, unsigned col, unsigned width,
+            Bit value)
+{
+    const std::uint64_t field = value ? ~0ULL : 0;
+    for (unsigned c = 0; c < width; c += 64) {
+        tile.setRowField(row, static_cast<ColAddr>(col + c),
+                         std::min(64u, width - c), field);
+    }
+}
+
+/** Columns 0 .. width-1 of @p row repeat @p pattern: column c takes
+ *  pattern[c % pattern.size()], written as row fields of 64 columns.
+ *  @p rep is scratch space. */
+void
+writePeriodic(Tile &tile, RowAddr row, unsigned width,
+              const std::vector<Bit> &pattern,
+              std::vector<std::uint64_t> &rep)
+{
+    const unsigned period = static_cast<unsigned>(pattern.size());
+    // The pattern repeated over period + 64 bits: the field of every
+    // 64-column chunk starts inside the first period.
+    rep.assign((period + 127) / 64, 0);
+    for (unsigned b = 0, u = 0; b < period + 64; ++b) {
+        rep[b >> 6] |= static_cast<std::uint64_t>(pattern[u] & 1)
+                       << (b & 63);
+        u = u + 1 == period ? 0 : u + 1;
+    }
+    const unsigned step = 64 % period;
+    for (unsigned c = 0, phase = 0; c < width; c += 64) {
+        const unsigned w = phase >> 6;
+        const unsigned off = phase & 63;
+        std::uint64_t field = rep[w] >> off;
+        if (off != 0) {
+            field |= rep[w + 1] << (64 - off);
+        }
+        tile.setRowField(row, static_cast<ColAddr>(c),
+                         std::min(64u, width - c), field);
+        phase += step;
+        phase -= phase >= period ? period : 0;
+    }
 }
 
 } // namespace
@@ -118,36 +165,40 @@ void
 PackedModel::deployWeights(TileGrid &grid) const
 {
     Tile &tile = grid.tile(0);
-    for (unsigned s = 0; s < slots_; ++s) {
-        for (unsigned u = 0; u < colsPerRequest_; ++u) {
-            const ColAddr col =
-                static_cast<ColAddr>(s * colsPerRequest_ + u);
-            if (kind_ == Kind::kBnn) {
-                for (unsigned i = 0; i < layer_.inputs; ++i) {
-                    tile.setBit(static_cast<RowAddr>(4 * i), col,
-                                layer_.weights[u][i]);
-                }
-                const RowAddr threshBase =
-                    static_cast<RowAddr>(4 * layer_.inputs + 1);
-                for (unsigned b = 0; b < threshBits_; ++b) {
-                    tile.setBit(
-                        static_cast<RowAddr>(threshBase + 2 * b),
-                        col,
-                        static_cast<Bit>(
-                            (layer_.thresholds[u] >> b) & 1));
-                }
-            } else {
-                const Features &sv = svm_.supportVectors[u];
-                for (std::size_t e = 0; e < sv.size(); ++e) {
-                    for (unsigned b = 0; b < inputBits_; ++b) {
-                        tile.setBit(
-                            static_cast<RowAddr>(e * 2 * inputBits_ +
-                                                 2 * b),
-                            col,
-                            static_cast<Bit>((sv[e] >> b) & 1));
-                    }
-                }
+    // Column s*colsPerRequest + u of a weight row holds request
+    // column u's bit, the same in every slot.
+    const unsigned width = slots_ * colsPerRequest_;
+    std::vector<Bit> pattern(colsPerRequest_);
+    std::vector<std::uint64_t> rep;
+    if (kind_ == Kind::kBnn) {
+        for (unsigned i = 0; i < layer_.inputs; ++i) {
+            for (unsigned u = 0; u < colsPerRequest_; ++u) {
+                pattern[u] = layer_.weights[u][i];
             }
+            writePeriodic(tile, static_cast<RowAddr>(4 * i), width,
+                          pattern, rep);
+        }
+        const RowAddr threshBase =
+            static_cast<RowAddr>(4 * layer_.inputs + 1);
+        for (unsigned b = 0; b < threshBits_; ++b) {
+            for (unsigned u = 0; u < colsPerRequest_; ++u) {
+                pattern[u] =
+                    static_cast<Bit>((layer_.thresholds[u] >> b) & 1);
+            }
+            writePeriodic(tile, static_cast<RowAddr>(threshBase + 2 * b),
+                          width, pattern, rep);
+        }
+        return;
+    }
+    for (std::size_t e = 0; e < inputSize_; ++e) {
+        for (unsigned b = 0; b < inputBits_; ++b) {
+            for (unsigned u = 0; u < colsPerRequest_; ++u) {
+                pattern[u] = static_cast<Bit>(
+                    (svm_.supportVectors[u][e] >> b) & 1);
+            }
+            writePeriodic(
+                tile, static_cast<RowAddr>(e * 2 * inputBits_ + 2 * b),
+                width, pattern, rep);
         }
     }
 }
@@ -158,35 +209,37 @@ PackedModel::packInput(TileGrid &grid, unsigned slot,
 {
     mouse_assert(slot < slots_, "packInput slot out of range");
     mouse_assert(validInput(in), "malformed request payload");
-    Tile &tile = grid.tile(0);
-    for (unsigned u = 0; u < colsPerRequest_; ++u) {
-        const ColAddr col =
-            static_cast<ColAddr>(slot * colsPerRequest_ + u);
-        if (kind_ == Kind::kBnn) {
-            for (std::size_t i = 0; i < in.size(); ++i) {
-                tile.setBit(static_cast<RowAddr>(4 * i + 2), col,
-                            static_cast<Bit>(in[i] & 1));
-            }
-        } else {
-            for (std::size_t e = 0; e < in.size(); ++e) {
-                for (unsigned b = 0; b < inputBits_; ++b) {
-                    tile.setBit(
-                        static_cast<RowAddr>(xBase_ +
-                                             e * 2 * inputBits_ +
-                                             2 * b),
-                        col, static_cast<Bit>((in[e] >> b) & 1));
-                }
-            }
-        }
-    }
+    writeInput(grid.tile(0), slot, in.data());
 }
 
 void
 PackedModel::clearInput(TileGrid &grid, unsigned slot) const
 {
-    // Reuse the packing path with an all-zero payload.
-    const Input zeros(inputSize_, 0);
-    packInput(grid, slot, zeros);
+    mouse_assert(slot < slots_, "clearInput slot out of range");
+    writeInput(grid.tile(0), slot, nullptr);
+}
+
+void
+PackedModel::writeInput(Tile &tile, unsigned slot,
+                        const std::uint8_t *in) const
+{
+    // Every column of the slot sees the whole payload.
+    const unsigned col = slot * colsPerRequest_;
+    for (std::size_t e = 0; e < inputSize_; ++e) {
+        const std::uint8_t v = in != nullptr ? in[e] : 0;
+        if (kind_ == Kind::kBnn) {
+            fillColumns(tile, static_cast<RowAddr>(4 * e + 2), col,
+                        colsPerRequest_, static_cast<Bit>(v & 1));
+            continue;
+        }
+        for (unsigned b = 0; b < inputBits_; ++b) {
+            fillColumns(tile,
+                        static_cast<RowAddr>(xBase_ + e * 2 * inputBits_ +
+                                             2 * b),
+                        col, colsPerRequest_,
+                        static_cast<Bit>((v >> b) & 1));
+        }
+    }
 }
 
 int

@@ -131,6 +131,11 @@ class PackedModel
 
     PackedModel() = default;
 
+    /** Write a payload of inputSize() elements into slot @p slot's
+     *  input rows; a null @p in writes zeros. */
+    void writeInput(Tile &tile, unsigned slot,
+                    const std::uint8_t *in) const;
+
     ModelId id_ = 0;
     std::string name_;
     Kind kind_ = Kind::kBnn;

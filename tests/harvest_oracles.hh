@@ -56,6 +56,10 @@ perCycleReference(const Trace &trace, const EnergyModel &energy,
 
     const unsigned period = std::max(1u, harvest.checkpointPeriod);
     std::uint64_t uncheckpointed = 0;
+    // Non-termination counts consecutive bursts that commit nothing,
+    // the runHarvestLoop rule.
+    bool burst_committed = false;
+    unsigned idle_bursts = 0;
     for (const TraceBlock &blk : trace.blocks) {
         Joules exec = energy.fetchEnergy() +
                       energy.estimateInstructionEnergy(
@@ -69,7 +73,6 @@ perCycleReference(const Trace &trace, const EnergyModel &energy,
         const Joules total = exec + backup;
         const Joules buffer_cost = converter.bufferEnergyFor(total);
         std::uint64_t remaining = blk.count;
-        unsigned consecutive_failures = 0;
         while (remaining > 0) {
             const Joules avail = cap.energyAbove(dev.capVoltageLow);
             const Joules credit = source->power(now) * cycle;
@@ -80,7 +83,7 @@ perCycleReference(const Trace &trace, const EnergyModel &energy,
                           : remaining;
             const std::uint64_t n = std::min(remaining, fit);
             if (n > 0) {
-                consecutive_failures = 0;
+                burst_committed = true;
                 const double nd = static_cast<double>(n);
                 cap.draw(net * nd);
                 now += cycle * nd;
@@ -91,6 +94,12 @@ perCycleReference(const Trace &trace, const EnergyModel &energy,
                 uncheckpointed = (uncheckpointed + n) % period;
                 remaining -= n;
                 continue;
+            }
+            idle_bursts = burst_committed ? 0 : idle_bursts + 1;
+            burst_committed = false;
+            if (idle_bursts > harvest.nonTerminationLimit) {
+                ADD_FAILURE() << "reference run does not terminate";
+                return stats;
             }
             const double fraction =
                 buffer_cost > 0.0 ? avail / buffer_cost : 0.0;
@@ -118,10 +127,6 @@ perCycleReference(const Trace &trace, const EnergyModel &energy,
                 now += cycle * replay;
                 cap.draw(converter.bufferEnergyFor(total * replay));
                 uncheckpointed = 0;
-            }
-            if (++consecutive_failures > harvest.nonTerminationLimit) {
-                ADD_FAILURE() << "reference run does not terminate";
-                return stats;
             }
         }
     }

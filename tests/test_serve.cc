@@ -178,6 +178,76 @@ TEST(Serve, PackedBatchMatchesSequentialExecute)
     }
 }
 
+TEST(Serve, DeployAndPackFillEverySlotAtAnyRequestWidth)
+{
+    // Request widths that do not divide 64 and one wider than a word,
+    // over a tile that starts all ones: every slot's weight, threshold
+    // and input rows must hold the model's bits, and cleared slots
+    // zeros.
+    constexpr unsigned kInputs = 5;
+    unsigned threshBits = 1;
+    while ((1u << threshBits) <= kInputs) {
+        ++threshBits;
+    }
+    for (const unsigned classes : {3u, 4u, 70u}) {
+        Rng rng(classes);
+        BnnServeModel m;
+        m.name = "bnn";
+        m.layer.inputs = kInputs;
+        m.layer.outputs = classes;
+        m.layer.weights.assign(classes, std::vector<Bit>(kInputs));
+        m.layer.thresholds.resize(classes);
+        for (unsigned c = 0; c < classes; ++c) {
+            for (Bit &w : m.layer.weights[c]) {
+                w = static_cast<Bit>(rng.below(2));
+            }
+            m.layer.thresholds[c] =
+                static_cast<std::int32_t>(rng.below(kInputs + 1));
+        }
+        ServiceConfig cfg = smallConfig(1);
+        cfg.engine.array.tileCols = 1024;
+        InferenceService svc(cfg);
+        const PackedModel &pm = svc.model(svc.addModel(m));
+        Accelerator acc(cfg.engine);
+        Tile &tile = acc.grid().tile(0);
+        for (RowAddr r = 0; r < tile.numRows(); ++r) {
+            for (ColAddr c = 0; c < tile.numCols(); c += 64) {
+                tile.setRowField(r, c, 64, ~0ULL);
+            }
+        }
+        pm.deployWeights(acc.grid());
+        std::vector<Input> in;
+        for (unsigned s = 0; s < pm.slots(); ++s) {
+            if (s % 3 == 0) {
+                pm.clearInput(acc.grid(), s);
+                in.emplace_back(kInputs, 0);
+            } else {
+                in.push_back(randomInput(rng, pm, 1));
+                pm.packInput(acc.grid(), s, in.back());
+            }
+        }
+        unsigned wrong = 0;
+        for (unsigned s = 0; s < pm.slots(); ++s) {
+            for (unsigned u = 0; u < classes; ++u) {
+                const auto col = static_cast<ColAddr>(s * classes + u);
+                for (unsigned i = 0; i < kInputs; ++i) {
+                    wrong += tile.bit(static_cast<RowAddr>(4 * i), col) !=
+                             m.layer.weights[u][i];
+                    wrong += tile.bit(static_cast<RowAddr>(4 * i + 2),
+                                      col) != in[s][i];
+                }
+                for (unsigned b = 0; b < threshBits; ++b) {
+                    wrong += tile.bit(static_cast<RowAddr>(4 * kInputs + 1 +
+                                                           2 * b),
+                                      col) !=
+                             ((m.layer.thresholds[u] >> b) & 1);
+                }
+            }
+        }
+        EXPECT_EQ(wrong, 0u) << classes << " classes";
+    }
+}
+
 TEST(Serve, BnnPredictionMatchesSoftwareArgmax)
 {
     Rng modelRng(5);

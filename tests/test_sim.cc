@@ -276,11 +276,15 @@ TEST_F(SimTest, ZeroNonTerminationLimitAllowsBurstsThatCommit)
     EXPECT_EQ(functional.instructionsCommitted, prog.size() - 1);
     EXPECT_EQ(readProduct(grid, product, 1), 63u * 63u);
 
-    const RunStats traced =
-        runHarvestedTrace(Trace::fromProgram(prog, cfg_), energy, harvest);
+    const Trace trace = Trace::fromProgram(prog, cfg_);
+    const RunStats traced = runHarvestedTrace(trace, energy, harvest);
     EXPECT_GT(traced.outages, 1u);
     EXPECT_EQ(traced.instructionsCommitted,
               functional.instructionsCommitted);
+
+    // The per-cycle reference applies the same rule.
+    expectSameRun(traced, perCycleReference(trace, energy, harvest),
+                  1e-11, "nonTerminationLimit 0");
 }
 
 TEST_F(SimTest, ContinuousTraceHasNoIntermittentCosts)
