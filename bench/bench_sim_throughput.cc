@@ -136,6 +136,49 @@ BENCHMARK_CAPTURE(BM_ServeBatch, bnn, true)
 BENCHMARK_CAPTURE(BM_ServeBatch, svm, false)
     ->Unit(benchmark::kMicrosecond);
 
+/**
+ * Controller::step() over one full demo batch on the serving
+ * geometry, from reset to HALT: the controller's fetch, execute and
+ * commit per instruction without the run API around them.  Items are
+ * instructions stepped.
+ */
+void
+BM_ControllerStep(benchmark::State &state, bool bnn)
+{
+    serve::ServiceConfig cfg;
+    cfg.engine.tech = TechConfig::ProjectedStt;
+    cfg.engine.array.tileRows = 512;
+    cfg.engine.array.tileCols = 1024;
+    cfg.engine.array.numDataTiles = 1;
+    cfg.engine.array.numInstructionTiles = 4096;
+    serve::InferenceService svc(cfg);
+    const serve::ModelId id = bnn ? svc.addModel(serve::demoBnn(1))
+                                  : svc.addModel(serve::demoSvm(2));
+    const serve::PackedModel &m = svc.model(id);
+    Rng rng(7);
+    Accelerator acc(cfg.engine);
+    acc.loadProgram(m.program());
+    m.deployWeights(acc.grid());
+    for (unsigned s = 0; s < m.slots(); ++s) {
+        m.packInput(acc.grid(), s, serve::randomInput(rng, m));
+    }
+    Controller &ctrl = acc.controller();
+    std::int64_t steps = 0;
+    for (auto _ : state) {
+        ctrl.reset();
+        while (!ctrl.halted()) {
+            const StepResult r = ctrl.step();
+            benchmark::DoNotOptimize(r.energy);
+            ++steps;
+        }
+    }
+    state.SetItemsProcessed(steps);
+}
+BENCHMARK_CAPTURE(BM_ControllerStep, bnn, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ControllerStep, svm, false)
+    ->Unit(benchmark::kMicrosecond);
+
 void
 BM_FunctionalAdder(benchmark::State &state)
 {
@@ -153,7 +196,7 @@ BM_FunctionalAdder(benchmark::State &state)
     const EnergyModel energy(lib);
     for (auto _ : state) {
         TileGrid grid(cfg, lib);
-        InstructionMemory imem(cfg);
+        InstructionMemory imem(cfg, lib);
         imem.load(prog.encode());
         Controller ctrl(grid, imem, energy);
         while (!ctrl.halted()) {

@@ -65,8 +65,10 @@ gateWordLoop(const GateWords &op, ComboCounts &counts_out)
     const std::uint64_t to_preset = op.preset ? 0 : ~0ULL;
     const std::uint64_t apply = op.apply ? ~0ULL : 0;
     // Local so the counters can live in registers: stores to the
-    // output row could otherwise alias them.
-    ComboCounts counts{};
+    // output row could otherwise alias them.  Per combo: all its
+    // columns, and those whose output is 1 (AP).
+    std::array<std::uint64_t, kCombos> total{};
+    std::array<std::uint64_t, kCombos> ones{};
     unsigned switched = 0;
     for (unsigned w = 0; w < op.words; ++w) {
         const std::uint64_t act = op.active->word(w);
@@ -88,9 +90,9 @@ gateWordLoop(const GateWords &op, ComboCounts &counts_out)
         const std::uint64_t out_w = out[w];
         std::uint64_t cand = 0;
         for (unsigned c = 0; c < kCombos; ++c) {
-            counts[c][0] += static_cast<std::uint64_t>(
-                __builtin_popcountll(m[c] & ~out_w));
-            counts[c][1] += static_cast<std::uint64_t>(
+            total[c] +=
+                static_cast<std::uint64_t>(__builtin_popcountll(m[c]));
+            ones[c] += static_cast<std::uint64_t>(
                 __builtin_popcountll(m[c] & out_w));
             cand |= m[c] & switching[c];
         }
@@ -100,8 +102,8 @@ gateWordLoop(const GateWords &op, ComboCounts &counts_out)
         switched += static_cast<unsigned>(__builtin_popcountll(flip));
     }
     for (unsigned c = 0; c < kCombos; ++c) {
-        counts_out[c][0] += counts[c][0];
-        counts_out[c][1] += counts[c][1];
+        counts_out[c][0] += total[c] - ones[c];
+        counts_out[c][1] += ones[c];
     }
     return switched;
 }
@@ -252,106 +254,123 @@ Tile::activeWords(const ColumnSet &active) const
     return words;
 }
 
+ResolvedGate
+Tile::resolveGate(const GateLibrary &lib, GateType g,
+                  const std::array<RowAddr, 3> &in_rows, RowAddr out_row,
+                  unsigned num_rows, GateOpTable &span_table)
+{
+    const SolvedGate &solved = lib.gate(g);
+    mouse_assert(solved.feasible, "gate not feasible for this tech");
+    const DeviceConfig &cfg = lib.config();
+    ResolvedGate r;
+    r.gate = g;
+    r.arity = static_cast<std::uint8_t>(gateNumInputs(g));
+    r.in = in_rows;
+    r.out = out_row;
+
+    // Parity rule (Section II-C): all inputs connect to one bitline
+    // (same row parity) and the output to the other.
+    const unsigned out_parity = out_row & 1;
+    for (unsigned i = 0; i < r.arity; ++i) {
+        mouse_assert(in_rows[i] < num_rows, "input row OOB");
+        mouse_assert((in_rows[i] & 1) != out_parity,
+                     "logic inputs must have opposite parity to output");
+    }
+    mouse_assert(out_row < num_rows, "output row OOB");
+
+    // The current pulse occupies the head of the cycle; an interrupt
+    // that lands inside the pulse prevents every switch.
+    r.pulseFraction = solved.pulseTime / cfg.cycleTime;
+
+    // Logic-line span of this execution (parasitic wire length).
+    RowAddr row_lo = out_row;
+    RowAddr row_hi = out_row;
+    for (unsigned i = 0; i < r.arity; ++i) {
+        row_lo = std::min(row_lo, in_rows[i]);
+        row_hi = std::max(row_hi, in_rows[i]);
+    }
+    r.rowHi = row_hi;
+    r.span = static_cast<std::uint16_t>(row_hi - row_lo);
+    mouse_assert(r.span <= solved.maxRowSpan ||
+                     cfg.wireResistancePerCell == 0.0,
+                 "operand span exceeds the solved operating point");
+
+    // The current depends only on (packed input combo, actual output
+    // state, span).  With ideal wires the logic-line term is
+    // identically zero and the cached span-0 table is bit-exact at
+    // any span.
+    if (cfg.wireResistancePerCell > 0.0 && r.span > 0) {
+        span_table = lib.opTableAtSpan(g, r.span);
+        r.table = &span_table;
+    } else {
+        r.table = &lib.opTable(g);
+    }
+    mouse_assert(r.arity >= 1 && r.arity <= 3 &&
+                     r.table->numCombos == 1u << r.arity,
+                 "gate operating table does not match its inputs");
+    r.preset = gatePreset(g);
+    for (unsigned combo = 0; combo < r.table->numCombos; ++combo) {
+        r.switchMask |= static_cast<std::uint8_t>(
+            r.table->switches[combo][r.preset] << combo);
+    }
+    return r;
+}
+
 GateExecResult
 Tile::executeGate(const GateLibrary &lib, GateType g,
                   const std::array<RowAddr, 3> &in_rows, RowAddr out_row,
                   const ColumnSet &active, double cycle_fraction)
 {
-    const SolvedGate &solved = lib.gate(g);
-    mouse_assert(solved.feasible, "gate not feasible for this tech");
-    const int n = gateNumInputs(g);
-    const DeviceConfig &cfg = lib.config();
+    GateOpTable span_table;
+    return executeGate(
+        lib, resolveGate(lib, g, in_rows, out_row, rows_, span_table),
+        active, cycle_fraction);
+}
 
-    // Parity rule (Section II-C): all inputs connect to one bitline
-    // (same row parity) and the output to the other.
-    const unsigned out_parity = out_row & 1;
-    for (int i = 0; i < n; ++i) {
-        mouse_assert(in_rows[static_cast<std::size_t>(i)] < rows_,
-                     "input row OOB");
-        mouse_assert((in_rows[static_cast<std::size_t>(i)] & 1) !=
-                         out_parity,
-                     "logic inputs must have opposite parity to output");
-    }
-    mouse_assert(out_row < rows_, "output row OOB");
-
-    // The current pulse occupies the head of the cycle; an interrupt
-    // that lands inside the pulse prevents every switch.
-    const double pulse_fraction = solved.pulseTime / cfg.cycleTime;
-    const bool pulse_completed = cycle_fraction >= pulse_fraction;
+GateExecResult
+Tile::executeGate(const GateLibrary &lib, const ResolvedGate &gate,
+                  const ColumnSet &active, double cycle_fraction)
+{
+    mouse_assert(gate.rowHi < rows_, "gate row OOB");
+    const bool pulse_completed = cycle_fraction >= gate.pulseFraction;
     const double energy_fraction =
-        pulse_completed ? 1.0 : cycle_fraction / pulse_fraction;
-
-    // Logic-line span of this execution (parasitic wire length).
-    RowAddr row_lo = out_row;
-    RowAddr row_hi = out_row;
-    for (int i = 0; i < n; ++i) {
-        row_lo = std::min(row_lo,
-                          in_rows[static_cast<std::size_t>(i)]);
-        row_hi = std::max(row_hi,
-                          in_rows[static_cast<std::size_t>(i)]);
-    }
-    const unsigned span = static_cast<unsigned>(row_hi - row_lo);
-    mouse_assert(span <= solved.maxRowSpan ||
-                     cfg.wireResistancePerCell == 0.0,
-                 "operand span exceeds the solved operating point");
+        pulse_completed ? 1.0 : cycle_fraction / gate.pulseFraction;
 
     if (scalarOracle()) {
-        return executeGateScalar(lib, solved, g, in_rows, out_row,
-                                 active, span, pulse_completed,
-                                 energy_fraction);
+        return executeGateScalar(lib, lib.gate(gate.gate), gate.gate,
+                                 gate.in, gate.out, active, gate.span,
+                                 pulse_completed, energy_fraction);
     }
 
-    // Word-parallel fast path: the current depends only on (packed
-    // input combo, actual output state, span), so fold 64 columns at
-    // a time against the precomputed operating table.  With ideal
-    // wires the logic-line term is identically zero and the cached
-    // span-0 table is bit-exact at any span.
-    const bool span_dependent =
-        cfg.wireResistancePerCell > 0.0 && span > 0;
-    GateOpTable local;
-    const GateOpTable *tbl;
-    if (span_dependent) {
-        local = lib.opTableAtSpan(g, span);
-        tbl = &local;
-    } else {
-        tbl = &lib.opTable(g);
-    }
-
+    // Word-parallel fast path: fold 64 columns at a time against the
+    // resolved operating table.
+    const GateOpTable &tbl = *gate.table;
     GateExecResult result;
     result.columns = active.count();
     result.completed = pulse_completed;
 
-    const Bit preset = gatePreset(g);
-    const unsigned num_combos = tbl->numCombos;
-    mouse_assert(n >= 1 && n <= 3 && num_combos == 1u << n,
-                 "gate operating table does not match its inputs");
     GateWords op;
-    for (int i = 0; i < n; ++i) {
-        op.in[static_cast<std::size_t>(i)] =
-            &bits_[rowBase(in_rows[static_cast<std::size_t>(i)])];
+    for (unsigned i = 0; i < gate.arity; ++i) {
+        op.in[i] = &bits_[rowBase(gate.in[i])];
     }
-    op.out = &bits_[rowBase(out_row)];
+    op.out = &bits_[rowBase(gate.out)];
     op.active = &active;
     op.words = activeWords(active);
-    for (unsigned combo = 0; combo < num_combos; ++combo) {
-        op.switchMask |=
-            static_cast<unsigned>(tbl->switches[combo][preset]) << combo;
-    }
-    op.preset = preset != 0;
+    op.switchMask = gate.switchMask;
+    op.preset = gate.preset != 0;
     op.apply = pulse_completed;
     ComboCounts counts{};
-    result.switched =
-        gateKernels()[static_cast<std::size_t>(n - 1)](op, counts);
+    result.switched = gateKernels()[gate.arity - 1](op, counts);
 
     // Deterministic fixed-order energy fold: one multiply per
     // (combo, out-state) bucket, always in index order, so the total
     // is independent of thread count and schedule.
-    for (unsigned combo = 0; combo < num_combos; ++combo) {
+    for (unsigned combo = 0; combo < tbl.numCombos; ++combo) {
         for (unsigned out = 0; out < 2; ++out) {
             if (counts[combo][out] != 0) {
                 result.deviceEnergy +=
                     static_cast<double>(counts[combo][out]) *
-                    (tbl->pulseEnergy[combo][out] * energy_fraction);
+                    (tbl.pulseEnergy[combo][out] * energy_fraction);
             }
         }
     }
@@ -408,10 +427,16 @@ Joules
 Tile::presetRow(const GateLibrary &lib, RowAddr row, Bit value,
                 const ColumnSet &active, double cycle_fraction)
 {
-    mouse_assert(row < rows_, "preset row OOB");
     const WriteOp &w = lib.writeOp();
-    const double pulse_fraction =
-        w.pulseTime / lib.config().cycleTime;
+    return presetRow(w, w.pulseTime / lib.config().cycleTime, row, value,
+                     active, cycle_fraction);
+}
+
+Joules
+Tile::presetRow(const WriteOp &write, double pulse_fraction, RowAddr row,
+                Bit value, const ColumnSet &active, double cycle_fraction)
+{
+    mouse_assert(row < rows_, "preset row OOB");
     const bool completed = cycle_fraction >= pulse_fraction;
     const double energy_fraction =
         completed ? 1.0 : cycle_fraction / pulse_fraction;
@@ -426,7 +451,7 @@ Tile::presetRow(const GateLibrary &lib, RowAddr row, Bit value,
     }
     // One write pulse per active column, all inside the tile.
     return static_cast<double>(active.count()) *
-           (w.energy * energy_fraction);
+           (write.energy * energy_fraction);
 }
 
 Joules

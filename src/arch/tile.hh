@@ -155,6 +155,35 @@ struct GateExecResult
     bool completed = true;
 };
 
+/**
+ * One gate execution resolved against a gate library: what
+ * Tile::executeGate() needs besides the tile contents, the active
+ * columns and the cycle fraction.  Built by Tile::resolveGate(),
+ * which also checks the operand rows; a program image resolves each
+ * gate instruction once at load.
+ */
+struct ResolvedGate
+{
+    /** Operating table at span: the library's cached span-0 table,
+     *  or a span table owned by whoever resolved the gate. */
+    const GateOpTable *table = nullptr;
+    /** Share of the cycle the current pulse occupies. */
+    double pulseFraction = 0.0;
+    std::array<RowAddr, 3> in{};
+    RowAddr out = 0;
+    /** Highest row touched (bounds-checked at resolve). */
+    RowAddr rowHi = 0;
+    /** Operand row span: the parasitic logic-line length. */
+    std::uint16_t span = 0;
+    GateType gate = GateType::kBuf;
+    /** Inputs used (1..3). */
+    std::uint8_t arity = 0;
+    /** The gate's preset output value. */
+    Bit preset = 0;
+    /** Bit c set: combo c switches an output still at preset. */
+    std::uint8_t switchMask = 0;
+};
+
 /** A single MOUSE memory/compute tile. */
 class Tile
 {
@@ -191,6 +220,25 @@ class Tile
                                double cycle_fraction = 1.0);
 
     /**
+     * Resolve gate @p g at the given rows of a tile with @p num_rows
+     * rows: check feasibility, row bounds, the parity rule and the
+     * solved span, and fetch the operating data.  When the table
+     * depends on the span (wire parasitics) it is written to
+     * @p span_table, which the result then points at.
+     */
+    static ResolvedGate resolveGate(const GateLibrary &lib, GateType g,
+                                    const std::array<RowAddr, 3> &in_rows,
+                                    RowAddr out_row, unsigned num_rows,
+                                    GateOpTable &span_table);
+
+    /** Execute a resolved gate; executeGate(lib, g, ...) is
+     *  resolveGate() followed by this. */
+    GateExecResult executeGate(const GateLibrary &lib,
+                               const ResolvedGate &gate,
+                               const ColumnSet &active,
+                               double cycle_fraction = 1.0);
+
+    /**
      * Preset (write) @p value into @p row at every active column.
      * Interruption semantics mirror executeGate: a write pulse that
      * does not complete leaves the previous contents.
@@ -199,6 +247,12 @@ class Tile
      */
     Joules presetRow(const GateLibrary &lib, RowAddr row, Bit value,
                      const ColumnSet &active,
+                     double cycle_fraction = 1.0);
+
+    /** presetRow() with the write pulse's share of the cycle
+     *  (writeOp().pulseTime / cycleTime) already worked out. */
+    Joules presetRow(const WriteOp &write, double pulse_fraction,
+                     RowAddr row, Bit value, const ColumnSet &active,
                      double cycle_fraction = 1.0);
 
     /** Read a full row into @p out (all columns). */

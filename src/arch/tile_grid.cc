@@ -6,20 +6,56 @@
 namespace mouse
 {
 
+static_assert(sizeof(GridOp) <= 64, "a resolved op outgrew a cache line");
+
+ProgramImage::ProgramImage(const ArrayConfig &cfg, const GateLibrary &lib,
+                           std::vector<std::uint64_t> words)
+    : cfg_(cfg), words_(std::move(words))
+{
+    if (words_.size() > cfg.instructionCapacity()) {
+        mouse_fatal("program of %zu instructions exceeds the %zu-entry "
+                    "instruction tile capacity",
+                    words_.size(), cfg.instructionCapacity());
+    }
+    ops_.reserve(words_.size());
+    GateOpTable span_table;
+    for (const std::uint64_t w : words_) {
+        // Execute exactly what the tiles hold: the decoded word.
+        GridOp &op = ops_.emplace_back(TileGrid::resolve(
+            cfg, lib, Instruction::decode(w), span_table));
+        if (op.gate.table != nullptr) {
+            // Point at the image's own copy, not into the library it
+            // was resolved with.
+            const bool at_span = op.gate.table == &span_table;
+            const std::pair<GateType, unsigned> key(
+                op.gate.gate, at_span ? op.gate.span : 0u);
+            op.gate.table =
+                &tables_.try_emplace(key, *op.gate.table).first->second;
+        }
+    }
+}
+
 void
 InstructionMemory::load(std::vector<std::uint64_t> words)
 {
-    if (words.size() > cfg_.instructionCapacity()) {
-        mouse_fatal("program of %zu instructions exceeds the %zu-entry "
-                    "instruction tile capacity",
-                    words.size(), cfg_.instructionCapacity());
-    }
-    words_ = std::move(words);
+    load(std::make_shared<const ProgramImage>(cfg_, lib_,
+                                              std::move(words)));
+}
+
+void
+InstructionMemory::load(std::shared_ptr<const ProgramImage> image)
+{
+    mouse_assert(image != nullptr && image->config() == cfg_,
+                 "program image built for another geometry");
+    image_ = std::move(image);
 }
 
 TileGrid::TileGrid(const ArrayConfig &cfg, const GateLibrary &lib)
-    : cfg_(cfg), lib_(lib), tiles_(cfg.numDataTiles),
-      active_(cfg.tileCols), buffer_(cfg.tileCols, 0)
+    : cfg_(cfg), lib_(lib),
+      writePulseFraction_(lib.writeOp().pulseTime /
+                          lib.config().cycleTime),
+      tiles_(cfg.numDataTiles), active_(cfg.tileCols),
+      buffer_(cfg.tileCols, 0)
 {
 }
 
@@ -63,6 +99,77 @@ TileGrid::tile(TileAddr addr) const
     return *tiles_[addr];
 }
 
+GridOp
+TileGrid::resolve(const ArrayConfig &cfg, const GateLibrary &lib,
+                  const Instruction &inst, GateOpTable &span_table)
+{
+    GridOp op;
+    op.inst = inst;
+    // Gates and presets may broadcast to every data tile.
+    auto checkTile = [&](bool broadcast_ok) {
+        mouse_assert(inst.tile < cfg.numDataTiles ||
+                         (broadcast_ok && inst.tile == kBroadcastTile),
+                     "tile address OOB");
+    };
+    switch (inst.op) {
+      case Opcode::kHalt:
+        break;
+      case Opcode::kActivateList:
+        for (int i = 0; i < inst.numCols; ++i) {
+            mouse_assert(inst.cols[static_cast<std::size_t>(i)] <
+                             cfg.tileCols,
+                         "activated column OOB");
+        }
+        break;
+      case Opcode::kActivateRange:
+        mouse_assert(inst.colHi < cfg.tileCols, "activated column OOB");
+        mouse_assert(inst.colLo <= inst.colHi, "bad activation range");
+        break;
+      case Opcode::kReadRow:
+      case Opcode::kWriteRow:
+      case Opcode::kWriteRowShifted:
+        checkTile(false);
+        mouse_assert(inst.outRow < cfg.tileRows,
+                     inst.op == Opcode::kReadRow ? "read row OOB"
+                                                 : "write row OOB");
+        break;
+      case Opcode::kPreset0:
+      case Opcode::kPreset1:
+        checkTile(true);
+        mouse_assert(inst.outRow < cfg.tileRows, "preset row OOB");
+        break;
+      default:
+        mouse_assert(isGateOpcode(inst.op), "unhandled opcode");
+        checkTile(true);
+        op.gate = Tile::resolveGate(lib, gateFromOpcode(inst.op),
+                                    inst.rows, inst.outRow, cfg.tileRows,
+                                    span_table);
+        break;
+    }
+    op.touched = touchedUnits(cfg, inst);
+    return op;
+}
+
+std::uint16_t
+TileGrid::touchedUnits(const ArrayConfig &cfg, const Instruction &inst)
+{
+    switch (inst.op) {
+      case Opcode::kHalt:
+        return 0;
+      case Opcode::kActivateList:
+        return inst.numCols;
+      case Opcode::kActivateRange:
+        return static_cast<std::uint16_t>(inst.colHi - inst.colLo + 1);
+      case Opcode::kReadRow:
+      case Opcode::kWriteRow:
+      case Opcode::kWriteRowShifted:
+        return static_cast<std::uint16_t>(cfg.tileCols);
+      default:
+        return static_cast<std::uint16_t>(
+            inst.tile == kBroadcastTile ? cfg.numDataTiles : 1);
+    }
+}
+
 void
 TileGrid::applyActivation(const Instruction &inst)
 {
@@ -71,13 +178,9 @@ TileGrid::applyActivation(const Instruction &inst)
     }
     if (inst.op == Opcode::kActivateList) {
         for (int i = 0; i < inst.numCols; ++i) {
-            const ColAddr c = inst.cols[static_cast<std::size_t>(i)];
-            mouse_assert(c < cfg_.tileCols, "activated column OOB");
-            active_.add(c);
+            active_.add(inst.cols[static_cast<std::size_t>(i)]);
         }
     } else {
-        mouse_assert(inst.colHi < cfg_.tileCols,
-                     "activated column OOB");
         active_.addRange(inst.colLo, inst.colHi);
     }
 }
@@ -85,6 +188,14 @@ TileGrid::applyActivation(const Instruction &inst)
 ExecOutcome
 TileGrid::execute(const Instruction &inst, double cycle_fraction)
 {
+    GateOpTable span_table;
+    return execute(resolve(cfg_, lib_, inst, span_table), cycle_fraction);
+}
+
+ExecOutcome
+TileGrid::execute(const GridOp &op, double cycle_fraction)
+{
+    const Instruction &inst = op.inst;
     ExecOutcome out;
     out.activeColumns = active_.count();
     switch (inst.op) {
@@ -137,36 +248,34 @@ TileGrid::execute(const Instruction &inst, double cycle_fraction)
       case Opcode::kPreset0:
       case Opcode::kPreset1: {
         const Bit value = inst.op == Opcode::kPreset1 ? 1 : 0;
+        const WriteOp &w = lib_.writeOp();
         if (inst.tile == kBroadcastTile) {
             for (TileAddr t = 0; t < cfg_.numDataTiles; ++t) {
                 countOp(t, 0);
                 out.deviceEnergy += tile(t).presetRow(
-                    lib_, inst.outRow, value, active_,
+                    w, writePulseFraction_, inst.outRow, value, active_,
                     cycle_fraction);
             }
         } else {
             countOp(inst.tile, 0);
             out.deviceEnergy += tile(inst.tile).presetRow(
-                lib_, inst.outRow, value, active_, cycle_fraction);
+                w, writePulseFraction_, inst.outRow, value, active_,
+                cycle_fraction);
         }
         break;
       }
       default: {
-        mouse_assert(isGateOpcode(inst.op), "unhandled opcode");
-        const GateType g = gateFromOpcode(inst.op);
         if (inst.tile == kBroadcastTile) {
             for (TileAddr t = 0; t < cfg_.numDataTiles; ++t) {
                 const GateExecResult r = tile(t).executeGate(
-                    lib_, g, inst.rows, inst.outRow, active_,
-                    cycle_fraction);
+                    lib_, op.gate, active_, cycle_fraction);
                 out.deviceEnergy += r.deviceEnergy;
                 out.switched += r.switched;
                 countOp(t, r.switched);
             }
         } else {
             const GateExecResult r = tile(inst.tile).executeGate(
-                lib_, g, inst.rows, inst.outRow, active_,
-                cycle_fraction);
+                lib_, op.gate, active_, cycle_fraction);
             out.deviceEnergy += r.deviceEnergy;
             out.switched = r.switched;
             countOp(inst.tile, r.switched);

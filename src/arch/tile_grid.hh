@@ -17,7 +17,9 @@
 #ifndef MOUSE_ARCH_TILE_GRID_HH
 #define MOUSE_ARCH_TILE_GRID_HH
 
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "arch/tile.hh"
@@ -35,6 +37,8 @@ struct ArrayConfig
     unsigned numDataTiles = 4;
     unsigned numInstructionTiles = 1;
 
+    bool operator==(const ArrayConfig &other) const = default;
+
     /** Bits stored by one tile. */
     std::size_t
     tileBits() const
@@ -51,31 +55,113 @@ struct ArrayConfig
 };
 
 /**
- * Encoded-instruction store mapped onto the instruction tiles.  The
- * bits live in MRAM exactly like data, but are written once before
- * deployment, so we store the packed words directly.
+ * One instruction as the grid executes it: the decoded wire word
+ * plus what executing it needs from the gate library and the
+ * geometry, worked out once by TileGrid::resolve().
+ */
+struct GridOp
+{
+    /** Gate opcodes: the resolved gate (arity 0 otherwise). */
+    ResolvedGate gate;
+    Instruction inst;
+    /** TileGrid::touchedUnits() of inst; 16 bits keep a GridOp
+     *  within 64 bytes. */
+    std::uint16_t touched = 0;
+};
+
+/** Whether @p op drives every active column of its tiles (gates and
+ *  presets) rather than a fixed column count. */
+inline bool
+drivesActiveColumns(Opcode op)
+{
+    return op >= Opcode::kPreset0 && op <= Opcode::kGateMin3;
+}
+
+/**
+ * An immutable program image: the 64-bit words of the instruction
+ * tiles, each decoded and resolved once against one geometry and
+ * gate library.  Every engine with the same geometry and an
+ * identically solved library can share one image
+ * (InstructionMemory::load(std::shared_ptr<const ProgramImage>)).
+ * Loading checks every instruction (tile, row and column bounds,
+ * the gate parity rule, feasibility and span), so a malformed
+ * program fails at load, with the message execution used to give.
+ */
+class ProgramImage
+{
+  public:
+    /** @pre @p words fit in the instruction tiles of @p cfg. */
+    ProgramImage(const ArrayConfig &cfg, const GateLibrary &lib,
+                 std::vector<std::uint64_t> words);
+    ProgramImage(const ProgramImage &) = delete;
+    ProgramImage &operator=(const ProgramImage &) = delete;
+
+    /** The geometry the image was resolved for. */
+    const ArrayConfig &config() const { return cfg_; }
+
+    std::size_t size() const { return words_.size(); }
+
+    /** The encoded word at @p addr, as stored in the tiles. */
+    std::uint64_t word(std::size_t addr) const { return words_[addr]; }
+
+    /** The decoded and resolved instruction at @p addr. */
+    const GridOp &op(std::size_t addr) const { return ops_[addr]; }
+
+  private:
+    ArrayConfig cfg_;
+    std::vector<std::uint64_t> words_;
+    std::vector<GridOp> ops_;
+    /** The gate ops' operating tables, one per (gate, span) in use
+     *  (span 0 for every span when wires are ideal); map nodes keep
+     *  the ops' pointers stable. */
+    std::map<std::pair<GateType, unsigned>, GateOpTable> tables_;
+};
+
+/**
+ * The instruction store mapped onto the instruction tiles.  The bits
+ * live in MRAM exactly like data, but are written once before
+ * deployment, so the store holds a program image: the packed words
+ * and their decoded, resolved form.
  */
 class InstructionMemory
 {
   public:
-    explicit InstructionMemory(const ArrayConfig &cfg) : cfg_(cfg) {}
+    /** @param lib Library gate instructions are resolved against;
+     *         must outlive the memory and match the grid's. */
+    InstructionMemory(const ArrayConfig &cfg, const GateLibrary &lib)
+        : cfg_(cfg), lib_(lib)
+    {}
 
-    /** Load a program image. @pre fits in the instruction tiles. */
+    /** Decode, resolve and load a program image.  @pre fits in the
+     *  instruction tiles. */
     void load(std::vector<std::uint64_t> words);
 
-    std::size_t size() const { return words_.size(); }
+    /** Load a prebuilt image.  @pre built for this geometry with an
+     *  identically solved library. */
+    void load(std::shared_ptr<const ProgramImage> image);
+
+    std::size_t size() const { return image_ ? image_->size() : 0; }
 
     /** Fetch one 64-bit instruction word. */
     std::uint64_t
     fetch(std::size_t addr) const
     {
-        mouse_assert(addr < words_.size(), "instruction fetch OOB");
-        return words_[addr];
+        mouse_assert(addr < size(), "instruction fetch OOB");
+        return image_->word(addr);
+    }
+
+    /** The decoded and resolved form of the word at @p addr. */
+    const GridOp &
+    op(std::size_t addr) const
+    {
+        mouse_assert(addr < size(), "instruction fetch OOB");
+        return image_->op(addr);
     }
 
   private:
     ArrayConfig cfg_;
-    std::vector<std::uint64_t> words_;
+    const GateLibrary &lib_;
+    std::shared_ptr<const ProgramImage> image_;
 };
 
 /** Result of executing one instruction on the grid. */
@@ -121,6 +207,26 @@ class TileGrid
     ExecOutcome execute(const Instruction &inst,
                         double cycle_fraction = 1.0);
 
+    /** Execute one resolved non-HALT instruction; execute(inst) is
+     *  resolve() followed by this. */
+    ExecOutcome execute(const GridOp &op, double cycle_fraction = 1.0);
+
+    /**
+     * Decode-time work for @p inst on geometry @p cfg: check its
+     * tile, row and column operands and resolve a gate against
+     * @p lib.  A span-dependent gate table goes to @p span_table
+     * (see Tile::resolveGate).
+     */
+    static GridOp resolve(const ArrayConfig &cfg, const GateLibrary &lib,
+                          const Instruction &inst,
+                          GateOpTable &span_table);
+
+    /** GridOp::touched of @p inst on geometry @p cfg: the columns it
+     *  drives, or for gates and presets the tiles it drives, each
+     *  across every active column. */
+    static std::uint16_t touchedUnits(const ArrayConfig &cfg,
+                                      const Instruction &inst);
+
     /**
      * Model a power outage: peripheral state (the column latches) is
      * lost; MTJ contents and the MRAM row buffer persist.  The
@@ -157,6 +263,8 @@ class TileGrid
 
     ArrayConfig cfg_;
     const GateLibrary &lib_;
+    /** Share of the cycle a write pulse occupies. */
+    double writePulseFraction_;
     std::vector<std::unique_ptr<Tile>> tiles_;
     ColumnSet active_;
     std::vector<Bit> buffer_;

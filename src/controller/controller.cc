@@ -8,7 +8,10 @@ namespace mouse
 
 Controller::Controller(TileGrid &grid, InstructionMemory &imem,
                        const EnergyModel &energy)
-    : grid_(grid), imem_(imem), energy_(energy)
+    : grid_(grid), imem_(imem), energy_(energy),
+      fetchEnergy_(energy.fetchEnergy()),
+      backupEnergyPerCycle_(energy.backupEnergyPerCycle()),
+      actRegisterBackupEnergy_(energy.actRegisterBackupEnergy())
 {
 }
 
@@ -40,40 +43,10 @@ Controller::reset()
     halted_ = false;
 }
 
-Instruction
-Controller::fetchDecode(Joules &energy) const
-{
-    energy += energy_.fetchEnergy();
-    return Instruction::decode(imem_.fetch(pcReg_.read()));
-}
-
 unsigned
 Controller::touchedColumns(const Instruction &inst) const
 {
-    switch (inst.op) {
-      case Opcode::kHalt:
-        return 0;
-      case Opcode::kActivateList:
-        return inst.numCols;
-      case Opcode::kActivateRange:
-        return static_cast<unsigned>(inst.colHi - inst.colLo + 1);
-      case Opcode::kReadRow:
-      case Opcode::kWriteRow:
-      case Opcode::kWriteRowShifted:
-        return grid_.config().tileCols;
-      default: {
-        const unsigned tiles = inst.tile == kBroadcastTile
-                                   ? grid_.config().numDataTiles
-                                   : 1;
-        return grid_.activeColumns().count() * tiles;
-      }
-    }
-}
-
-ExecOutcome
-Controller::executePhase(const Instruction &inst, double fraction)
-{
-    return grid_.execute(inst, fraction);
+    return touched(inst, TileGrid::touchedUnits(grid_.config(), inst));
 }
 
 ActJournal
@@ -112,11 +85,11 @@ Controller::commitPhase(const Instruction &inst, StepResult &result)
         // activation that was never checkpointed.
         actReg_.writeInvalid(journalAfter(inst));
         actReg_.commit();
-        result.backupEnergy += energy_.actRegisterBackupEnergy();
+        result.backupEnergy += actRegisterBackupEnergy_;
     }
     pcReg_.writeInvalid(pcReg_.read() + 1);
     pcReg_.commit();
-    result.backupEnergy += energy_.backupEnergyPerCycle();
+    result.backupEnergy += backupEnergyPerCycle_;
     result.energy += result.backupEnergy;
 }
 
@@ -128,18 +101,19 @@ Controller::step()
         stSteps_->increment();
     }
     StepResult result;
-    result.inst = fetchDecode(result.energy);
-    if (result.inst.op == Opcode::kHalt) {
+    const GridOp &op = fetch(result.energy);
+    result.inst = op.inst;
+    if (op.inst.op == Opcode::kHalt) {
         // HALT does not advance the PC: a restart lands back on the
         // HALT, so a completed program stays completed.
         halted_ = true;
         result.halted = true;
         return result;
     }
-    const ExecOutcome out = executePhase(result.inst, 1.0);
-    result.energy += energy_.instructionEnergy(
-        result.inst, out.deviceEnergy, touchedColumns(result.inst));
-    commitPhase(result.inst, result);
+    const ExecOutcome out = grid_.execute(op, 1.0);
+    result.energy += energy_.instructionEnergy(op.inst, out.deviceEnergy,
+                                               touched(op));
+    commitPhase(op.inst, result);
     return result;
 }
 
@@ -155,34 +129,34 @@ Controller::stepInterrupted(MicroStep at, double fraction)
     Joules energy = 0.0;
     if (at == MicroStep::kFetch) {
         // Partway through the fetch; nothing persistent was touched.
-        return energy_.fetchEnergy() * fraction;
+        return fetchEnergy_ * fraction;
     }
 
-    Instruction inst = fetchDecode(energy);
+    const GridOp &op = fetch(energy);
+    const Instruction &inst = op.inst;
     if (inst.op == Opcode::kHalt) {
         return energy;
     }
 
     if (at == MicroStep::kExecute) {
-        const ExecOutcome out = executePhase(inst, fraction);
+        const ExecOutcome out = grid_.execute(op, fraction);
         // Peripheral drivers were energized for the elapsed part of
         // the cycle.
         energy += out.deviceEnergy +
-                  energy_.peripheralEnergy(touchedColumns(inst)) *
-                      fraction;
+                  energy_.peripheralEnergy(touched(op)) * fraction;
         return energy;
     }
 
     // Execution completed; the cut lands in the commit machinery.
-    const ExecOutcome out = executePhase(inst, 1.0);
-    energy += energy_.instructionEnergy(inst, out.deviceEnergy,
-                                        touchedColumns(inst));
+    const ExecOutcome out = grid_.execute(op, 1.0);
+    energy +=
+        energy_.instructionEnergy(inst, out.deviceEnergy, touched(op));
 
     if (at == MicroStep::kWritePc) {
         // The invalid PC register is mid-write: model indeterminate
         // contents.  The parity bit still selects the old copy.
         pcReg_.corruptInvalid(0xDEADBEEFu);
-        energy += energy_.backupEnergyPerCycle() * fraction;
+        energy += backupEnergyPerCycle_ * fraction;
         return energy;
     }
 
@@ -194,10 +168,10 @@ Controller::stepInterrupted(MicroStep at, double fraction)
     if (is_act) {
         actReg_.writeInvalid(journalAfter(inst));
         actReg_.commit();
-        energy += energy_.actRegisterBackupEnergy();
+        energy += actRegisterBackupEnergy_;
     }
     pcReg_.writeInvalid(pcReg_.read() + 1);
-    energy += energy_.backupEnergyPerCycle();
+    energy += backupEnergyPerCycle_;
     return energy;
 }
 

@@ -110,8 +110,7 @@ class Controller
     Instruction
     peekInstruction() const
     {
-        Joules scratch = 0.0;
-        return fetchDecode(scratch);
+        return imem_.op(pcReg_.read()).inst;
     }
 
     /** Columns an instruction would drive, for energy estimation. */
@@ -156,11 +155,29 @@ class Controller
     void attachStats(obs::StatRegistry *reg);
 
   private:
-    /** Fetch + decode the instruction at the valid PC. */
-    Instruction fetchDecode(Joules &energy) const;
+    /** Fetch the instruction at the valid PC, charging the fetch to
+     *  @p energy; the image holds it decoded and resolved. */
+    const GridOp &
+    fetch(Joules &energy) const
+    {
+        energy += fetchEnergy_;
+        return imem_.op(pcReg_.read());
+    }
 
-    /** Execute phase: broadcast to the grid. */
-    ExecOutcome executePhase(const Instruction &inst, double fraction);
+    /** touchedColumns() of @p inst from its TileGrid::touchedUnits. */
+    unsigned
+    touched(const Instruction &inst, unsigned units) const
+    {
+        return drivesActiveColumns(inst.op)
+                   ? grid_.activeColumns().count() * units
+                   : units;
+    }
+
+    unsigned
+    touched(const GridOp &op) const
+    {
+        return touched(op.inst, op.touched);
+    }
 
     /** Commit phase: PC update + parity flip + backup accounting. */
     void commitPhase(const Instruction &inst, StepResult &result);
@@ -172,6 +189,10 @@ class Controller
     TileGrid &grid_;
     InstructionMemory &imem_;
     const EnergyModel &energy_;
+    // The energy model's per-step constants.
+    const Joules fetchEnergy_;
+    const Joules backupEnergyPerCycle_;
+    const Joules actRegisterBackupEnergy_;
     DuplexNvRegister<std::uint32_t> pcReg_;
     DuplexNvRegister<ActJournal> actReg_;
     bool halted_ = false;

@@ -16,16 +16,36 @@ Accelerator::Accelerator(const MouseConfig &cfg) : cfg_(cfg)
                                          cfg.gateMargin);
     energy_ = std::make_unique<EnergyModel>(*lib_, cfg.peripheral);
     grid_ = std::make_unique<TileGrid>(cfg.array, *lib_);
-    imem_ = std::make_unique<InstructionMemory>(cfg.array);
+    imem_ = std::make_unique<InstructionMemory>(cfg.array, *lib_);
     controller_ =
         std::make_unique<Controller>(*grid_, *imem_, *energy_);
+}
+
+LoadedProgram::LoadedProgram(const MouseConfig &cfg,
+                             const GateLibrary &lib,
+                             std::shared_ptr<const Program> prog)
+    : tech_(cfg.tech), gateMargin_(cfg.gateMargin),
+      program_(std::move(prog)),
+      image_(std::make_shared<const ProgramImage>(cfg.array, lib,
+                                                  program_->encode()))
+{
 }
 
 void
 Accelerator::loadProgram(const Program &prog)
 {
-    program_ = prog;
-    imem_->load(prog.encode());
+    loadImage(std::make_shared<const LoadedProgram>(
+        cfg_, *lib_, std::make_shared<const Program>(prog)));
+}
+
+void
+Accelerator::loadImage(std::shared_ptr<const LoadedProgram> image)
+{
+    mouse_assert(image != nullptr && image->fits(cfg_),
+                 "program image built for another engine "
+                 "configuration");
+    imem_->load(image->image());
+    loaded_ = std::move(image);
     controller_->reset();
 }
 
@@ -61,11 +81,11 @@ Accelerator::execute(const RunRequest &req)
                                 ? req.harvest.checkpointPeriod
                                 : 0);
         } else {
-            mouse_assert(program_.has_value(),
+            mouse_assert(loaded_ != nullptr,
                          "MCU baseline needs a loaded program "
                          "(loadProgram) under Functional fidelity");
             mp = mcu::mcuProgramFromProgram(
-                *program_, req.harvest.checkpointPeriod > 1
+                loaded_->program(), req.harvest.checkpointPeriod > 1
                                ? req.harvest.checkpointPeriod
                                : 0);
         }

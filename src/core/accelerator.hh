@@ -57,6 +57,44 @@ struct MouseConfig
     double gateMargin = kDefaultGateMargin;
 };
 
+/**
+ * A program loaded for one engine configuration: the Program (kept
+ * for the MCU baseline, which replays it as an op stream) and its
+ * decoded, resolved instruction image.  Immutable once built, so one
+ * LoadedProgram serves every Accelerator built from the same
+ * MouseConfig (Accelerator::loadImage); the serving layer builds one
+ * per model.
+ */
+class LoadedProgram
+{
+  public:
+    /** Encode, decode and resolve @p prog for engines built from
+     *  @p cfg; @p lib must be solved for cfg's tech and margin. */
+    LoadedProgram(const MouseConfig &cfg, const GateLibrary &lib,
+                  std::shared_ptr<const Program> prog);
+
+    const Program &program() const { return *program_; }
+    const std::shared_ptr<const ProgramImage> &
+    image() const
+    {
+        return image_;
+    }
+
+    /** True iff an engine built from @p cfg may load this image. */
+    bool
+    fits(const MouseConfig &cfg) const
+    {
+        return cfg.tech == tech_ && cfg.gateMargin == gateMargin_ &&
+               cfg.array == image_->config();
+    }
+
+  private:
+    TechConfig tech_;
+    double gateMargin_;
+    std::shared_ptr<const Program> program_;
+    std::shared_ptr<const ProgramImage> image_;
+};
+
 /** One configured MOUSE accelerator. */
 class Accelerator
 {
@@ -74,8 +112,13 @@ class Accelerator
     const Controller &controller() const { return *controller_; }
 
     /** Write a program into the instruction tiles and reset the PC
-     *  (the pre-deployment step of Section IV-B). */
+     *  (the pre-deployment step of Section IV-B).  Builds a fresh
+     *  LoadedProgram; loadImage() adopts a prebuilt one. */
     void loadProgram(const Program &prog);
+
+    /** loadProgram() with a prebuilt image: nothing is copied or
+     *  re-encoded.  @pre image->fits(config()). */
+    void loadImage(std::shared_ptr<const LoadedProgram> image);
 
     /**
      * Run one simulation described by @p req.
@@ -153,10 +196,10 @@ class Accelerator
     void runOnePending();
 
     MouseConfig cfg_;
-    /** Retained copy of the last loadProgram() argument: the MCU
-     *  baseline replays it as an op stream (Functional fidelity has
-     *  no trace to derive one from). */
-    std::optional<Program> program_;
+    /** The loaded program: the MCU baseline replays it as an op
+     *  stream (Functional fidelity has no trace to derive one
+     *  from). */
+    std::shared_ptr<const LoadedProgram> loaded_;
     std::unique_ptr<GateLibrary> lib_;
     std::unique_ptr<EnergyModel> energy_;
     std::unique_ptr<TileGrid> grid_;

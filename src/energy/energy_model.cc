@@ -44,21 +44,6 @@ EnergyModel::EnergyModel(const GateLibrary &lib,
 }
 
 Joules
-EnergyModel::peripheralEnergy(unsigned cols) const
-{
-    return periphFixed_ + periphPerCol_ * cols;
-}
-
-Joules
-EnergyModel::instructionEnergy(const Instruction &inst,
-                               Joules device_energy,
-                               unsigned touched_cols) const
-{
-    (void)inst;
-    return device_energy + peripheralEnergy(touched_cols);
-}
-
-Joules
 EnergyModel::estimateInstructionEnergy(Opcode op,
                                        unsigned touched_cols) const
 {

@@ -95,7 +95,11 @@ class EnergyModel
     const DeviceConfig &config() const { return lib_.config(); }
 
     /** Peripheral energy of one instruction touching @p cols columns. */
-    Joules peripheralEnergy(unsigned cols) const;
+    Joules
+    peripheralEnergy(unsigned cols) const
+    {
+        return periphFixed_ + periphPerCol_ * cols;
+    }
 
     /**
      * Total energy of one executed instruction in functional mode,
@@ -105,9 +109,13 @@ class EnergyModel
      *        set for gates/presets, the full row width for row
      *        transfers.
      */
-    Joules instructionEnergy(const Instruction &inst,
-                             Joules device_energy,
-                             unsigned touched_cols) const;
+    Joules
+    instructionEnergy(const Instruction &inst, Joules device_energy,
+                      unsigned touched_cols) const
+    {
+        (void)inst;
+        return device_energy + peripheralEnergy(touched_cols);
+    }
 
     /**
      * Expected energy of one instruction in trace mode (data values

@@ -2,19 +2,18 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 
 #include "baseline/mcu/mcu_model.hh"
 #include "baseline/selector.hh"
 #include "baseline/sonic_scheme.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/worker_pool.hh"
 #include "exp/names.hh"
 #include "obs/metrics_hub.hh"
 
@@ -34,156 +33,8 @@ elapsed(std::chrono::steady_clock::time_point t0)
 
 } // namespace
 
-/**
- * The runner's parked workers.  A fan-out publishes one job (fn,
- * count, how many workers join) under the mutex and bumps the
- * generation; the joining workers and the caller then pull indices
- * from one atomic cursor.  Workers start on the first fan-out that
- * needs them and park on the condition variable between jobs.  One
- * job runs at a time: a call that finds the pool busy returns false
- * and its caller runs the job inline instead.
- */
-class ExperimentRunner::Pool
-{
-  public:
-    Pool() = default;
-    Pool(const Pool &) = delete;
-    Pool &operator=(const Pool &) = delete;
-
-    ~Pool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        wake_.notify_all();
-        for (std::thread &t : workers_) {
-            t.join();
-        }
-    }
-
-    /** Run fn over [0, count) on the caller plus up to @p helpers
-     *  workers; false (nothing run) when another job holds the
-     *  pool. */
-    bool
-    run(std::size_t count, unsigned helpers,
-        const std::function<void(std::size_t)> &fn)
-    {
-        if (busy_.exchange(true)) {
-            return false;
-        }
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (workers_.size() < helpers) {
-            try {
-                workers_.emplace_back(&Pool::work, this,
-                                      static_cast<unsigned>(
-                                          workers_.size()),
-                                      generation_);
-            } catch (...) {
-                break; // no thread to spare: run with those there are
-            }
-        }
-        if (workers_.empty()) {
-            lock.unlock();
-            busy_ = false;
-            return false;
-        }
-        helpers = std::min<unsigned>(
-            helpers, static_cast<unsigned>(workers_.size()));
-        fn_ = &fn;
-        count_ = count;
-        joining_ = helpers;
-        cursor_.store(0, std::memory_order_relaxed);
-        ++generation_;
-        lock.unlock();
-        wake_.notify_all();
-
-        drain(fn, count);
-
-        // Every index is taken: a worker that has not woken yet has
-        // nothing left to do, so close the job to it instead of
-        // waiting for it.
-        lock.lock();
-        joining_ = 0;
-        done_.wait(lock, [&] { return running_ == 0; });
-        std::exception_ptr error = std::exchange(error_, nullptr);
-        lock.unlock();
-        busy_ = false;
-        if (error) {
-            std::rethrow_exception(error);
-        }
-        return true;
-    }
-
-  private:
-    /** Pull indices until the cursor passes @p count. */
-    void
-    drain(const std::function<void(std::size_t)> &fn,
-          std::size_t count)
-    {
-        while (true) {
-            const std::size_t i =
-                cursor_.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count) {
-                return;
-            }
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (!error_) {
-                    error_ = std::current_exception();
-                }
-            }
-        }
-    }
-
-    void
-    work(unsigned id, std::uint64_t seen)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (true) {
-            wake_.wait(lock,
-                       [&] { return stop_ || generation_ != seen; });
-            if (stop_) {
-                return;
-            }
-            seen = generation_;
-            if (id >= joining_) {
-                continue;
-            }
-            ++running_;
-            const std::function<void(std::size_t)> &fn = *fn_;
-            const std::size_t count = count_;
-            lock.unlock();
-            drain(fn, count);
-            lock.lock();
-            if (--running_ == 0) {
-                done_.notify_one();
-            }
-        }
-    }
-
-    /** Held by the one job on the pool. */
-    std::atomic<bool> busy_{false};
-    std::atomic<std::size_t> cursor_{0};
-    std::mutex mutex_;
-    // The current job and the workers' state; guarded by mutex_.
-    const std::function<void(std::size_t)> *fn_ = nullptr;
-    std::size_t count_ = 0;
-    /** Workers with a smaller id join the job; 0 once closed. */
-    unsigned joining_ = 0;
-    unsigned running_ = 0;
-    std::uint64_t generation_ = 0;
-    bool stop_ = false;
-    std::exception_ptr error_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    std::vector<std::thread> workers_;
-};
-
 ExperimentRunner::ExperimentRunner(unsigned threads)
-    : threads_(threads), pool_(std::make_unique<Pool>())
+    : threads_(threads), pool_(std::make_unique<WorkerPool>())
 {
     if (threads_ == 0) {
         threads_ = std::thread::hardware_concurrency();

@@ -27,6 +27,11 @@
 #include "core/accelerator.hh"
 #include "exp/sweep.hh"
 
+namespace mouse
+{
+class WorkerPool;
+} // namespace mouse
+
 namespace mouse::exp
 {
 
@@ -141,10 +146,8 @@ class ExperimentRunner
     SweepResult run(const SweepGrid &grid) const;
 
   private:
-    class Pool;
-
     unsigned threads_;
-    std::unique_ptr<Pool> pool_;
+    std::unique_ptr<WorkerPool> pool_;
     std::function<void(std::size_t, std::size_t)> progress_;
     obs::MetricsHub *metrics_ = nullptr;
 };

@@ -109,7 +109,7 @@ PackedModel::compileBnn(const GateLibrary &lib, const ArrayConfig &cfg,
     Val fires{};
     buildSmallBnnNeuronKernel(kb, /*w_base=*/0, /*x_base=*/2,
                               threshBase, k, count, fires);
-    pm.program_ = kb.finish();
+    pm.program_ = std::make_shared<const Program>(kb.finish());
     pm.countRows_ = rowsOf(count);
     return pm;
 }
@@ -154,7 +154,7 @@ PackedModel::compileSvm(const GateLibrary &lib, const ArrayConfig &cfg,
     Word square;
     buildSmallSvmKernel(kb, /*sv_rows=*/0, pm.xBase_, m.dim,
                         m.inputBits, m.accBits, square);
-    pm.program_ = kb.finish();
+    pm.program_ = std::make_shared<const Program>(kb.finish());
     pm.squareRows_ = rowsOf(square);
     mouse_assert(pm.squareRows_.size() <= 64,
                  "SVM square word exceeds host readback width");

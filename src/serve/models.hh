@@ -27,6 +27,7 @@
 #ifndef MOUSE_SERVE_MODELS_HH
 #define MOUSE_SERVE_MODELS_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,7 +87,13 @@ class PackedModel
 
     ModelId id() const { return id_; }
     const std::string &name() const { return name_; }
-    const Program &program() const { return program_; }
+    const Program &program() const { return *program_; }
+    /** The program, shared with the images built from it. */
+    const std::shared_ptr<const Program> &
+    sharedProgram() const
+    {
+        return program_;
+    }
 
     /** Columns one request occupies (classes / support vectors). */
     unsigned colsPerRequest() const { return colsPerRequest_; }
@@ -139,7 +146,7 @@ class PackedModel
     ModelId id_ = 0;
     std::string name_;
     Kind kind_ = Kind::kBnn;
-    Program program_;
+    std::shared_ptr<const Program> program_;
     unsigned colsPerRequest_ = 0;
     unsigned slots_ = 0;
     std::size_t inputSize_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -48,8 +47,7 @@ InferenceService::addModel(const BnnServeModel &m)
     const ModelId id = static_cast<ModelId>(models_.size());
     models_.push_back(
         PackedModel::compileBnn(lib_, cfg_.engine.array, id, m));
-    open_.emplace_back();
-    return id;
+    return registerModel();
 }
 
 ModelId
@@ -58,8 +56,18 @@ InferenceService::addModel(const SvmServeModel &m)
     const ModelId id = static_cast<ModelId>(models_.size());
     models_.push_back(
         PackedModel::compileSvm(lib_, cfg_.engine.array, id, m));
+    return registerModel();
+}
+
+ModelId
+InferenceService::registerModel()
+{
+    // One loaded image per model, adopted by every engine that
+    // switches to it.
+    images_.push_back(std::make_shared<const LoadedProgram>(
+        cfg_.engine, lib_, models_.back().sharedProgram()));
     open_.emplace_back();
-    return id;
+    return models_.back().id();
 }
 
 const PackedModel &
@@ -162,7 +170,7 @@ InferenceService::runBatch(Engine &eng, unsigned engineIdx,
             ? hostSince(std::chrono::steady_clock::now())
             : 0.0;
     if (eng.loaded != static_cast<std::int64_t>(batch.model)) {
-        eng.acc.loadProgram(m.program());
+        eng.acc.loadImage(images_[batch.model]);
         m.deployWeights(eng.acc.grid());
         eng.loaded = static_cast<std::int64_t>(batch.model);
     } else {
@@ -301,11 +309,13 @@ InferenceService::drain()
     if (count == 0) {
         return 0.0;
     }
-    while (engines_.size() < cfg_.workers) {
-        engines_.push_back(std::make_unique<Engine>(cfg_.engine));
-    }
     const unsigned nThreads = static_cast<unsigned>(
         std::min<std::size_t>(cfg_.workers, count));
+    // One engine per task, each created by the first drain that
+    // needs it.
+    while (engines_.size() < nThreads) {
+        engines_.push_back(std::make_unique<Engine>(cfg_.engine));
+    }
     // Engines claim batches from a shared cursor; every written cell
     // (records_[batch.id], results_[req.id]) is distinct per batch,
     // so the fan-out needs no locks, and determinism is untouched
@@ -336,16 +346,15 @@ InferenceService::drain()
             metrics_->workerActive(-1);
         }
     };
-    if (nThreads == 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(nThreads);
+    // One task per engine on the parked pool: the caller runs its
+    // share, so nThreads - 1 workers join.  A pool that cannot start
+    // any worker leaves every task to the caller, in order.
+    const std::function<void(std::size_t)> task = [&](std::size_t t) {
+        work(static_cast<unsigned>(t));
+    };
+    if (nThreads == 1 || !pool_.run(nThreads, nThreads - 1, task)) {
         for (unsigned t = 0; t < nThreads; ++t) {
-            pool.emplace_back(work, t);
-        }
-        for (auto &th : pool) {
-            th.join();
+            work(t);
         }
     }
     for (std::size_t i = first; i < ready_.size(); ++i) {

@@ -42,6 +42,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/worker_pool.hh"
 #include "core/accelerator.hh"
 #include "obs/metrics_hub.hh"
 #include "obs/stat_registry.hh"
@@ -124,9 +125,11 @@ class InferenceService
     void flush();
 
     /**
-     * Flush, then execute every ready batch across the engine pool
-     * (cfg.workers threads, engines created on first use).  Returns
-     * the host wall seconds the drain took.
+     * Flush, then execute every ready batch across the engine pool:
+     * min(cfg.workers, batches) engine tasks on the service's parked
+     * worker pool, the calling thread included (engines and workers
+     * start on first use).  Returns the host wall seconds the drain
+     * took.
      */
     double drain();
 
@@ -231,6 +234,9 @@ class InferenceService
         std::int64_t loaded = -1;
     };
 
+    /** Build the newest model's image and batch queue; returns its
+     *  id. */
+    ModelId registerModel();
     void cutBatch(ModelId model);
     void runBatch(Engine &eng, unsigned engineIdx,
                   const Batch &batch);
@@ -248,6 +254,9 @@ class InferenceService
      *  identical, libraries). */
     GateLibrary lib_;
     std::vector<PackedModel> models_;
+    /** Each model's program, decoded and resolved once for the
+     *  engine configuration; shared by every engine. */
+    std::vector<std::shared_ptr<const LoadedProgram>> images_;
     /** Per-model open (not yet cut) batch. */
     std::vector<std::vector<PendingReq>> open_;
     /** Cut batches in cut order; [runCursor_, end) are unrun. */
@@ -256,6 +265,8 @@ class InferenceService
     std::vector<BatchRecord> records_;
     std::vector<ClassifyResult> results_;
     std::vector<std::unique_ptr<Engine>> engines_;
+    /** Parked workers that run drain()'s engine tasks. */
+    WorkerPool pool_;
     RequestId nextRequest_ = 0;
     std::size_t completedRequests_ = 0;
     double drainSeconds_ = 0.0;

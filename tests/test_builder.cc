@@ -47,7 +47,7 @@ class BuilderHarness
         for (const auto &[row, col, bit] : seeds) {
             grid.tile(0).setBit(row, col, bit);
         }
-        InstructionMemory imem(cfg_);
+        InstructionMemory imem(cfg_, lib_);
         imem.load(prog.encode());
         Controller ctrl(grid, imem, energy_);
         int guard = 0;

@@ -117,7 +117,7 @@ class ControllerTest : public ::testing::Test
 TEST_F(ControllerTest, RunsProgramToHalt)
 {
     TileGrid grid(cfg_, lib_);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(simpleProgram());
     seedInputs(grid);
 
@@ -151,7 +151,7 @@ TEST_F(ControllerTest, InterruptAtEveryMicroStepStillCorrect)
               MicroStep::kWritePc, MicroStep::kCommit}) {
             for (double fraction : {0.001, 0.3, 0.95}) {
                 TileGrid grid(cfg_, lib_);
-                InstructionMemory imem(cfg_);
+                InstructionMemory imem(cfg_, lib_);
                 imem.load(simpleProgram());
                 seedInputs(grid);
                 Controller ctrl(grid, imem, energy_);
@@ -178,7 +178,7 @@ TEST_F(ControllerTest, RepeatedOutagesAtRandomPoints)
     Rng rng(1234);
     for (int trial = 0; trial < 50; ++trial) {
         TileGrid grid(cfg_, lib_);
-        InstructionMemory imem(cfg_);
+        InstructionMemory imem(cfg_, lib_);
         imem.load(simpleProgram());
         seedInputs(grid);
         Controller ctrl(grid, imem, energy_);
@@ -203,7 +203,7 @@ TEST_F(ControllerTest, RepeatedOutagesAtRandomPoints)
 TEST_F(ControllerTest, RestartRestoresActiveColumns)
 {
     TileGrid grid(cfg_, lib_);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(simpleProgram());
     Controller ctrl(grid, imem, energy_);
 
@@ -230,7 +230,7 @@ TEST_F(ControllerTest, AdditiveActivationJournalReplays)
         words.push_back(inst.encode());
     }
     TileGrid grid(cfg_, lib_);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(words);
     Controller ctrl(grid, imem, energy_);
 
@@ -256,7 +256,7 @@ TEST_F(ControllerTest, CommitBeforePcKeepsActJournalConsistent)
     // still points at the ACT instruction.  Re-execution must
     // converge.
     TileGrid grid(cfg_, lib_);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(simpleProgram());
     seedInputs(grid);
     Controller ctrl(grid, imem, energy_);
@@ -286,7 +286,7 @@ TEST_F(ControllerTest, InterruptAtBoundaryFractionsStillCorrect)
               MicroStep::kWritePc, MicroStep::kCommit}) {
             for (double fraction : {0.0, 1.0}) {
                 TileGrid grid(cfg_, lib_);
-                InstructionMemory imem(cfg_);
+                InstructionMemory imem(cfg_, lib_);
                 imem.load(simpleProgram());
                 seedInputs(grid);
                 Controller ctrl(grid, imem, energy_);
@@ -331,7 +331,7 @@ TEST_F(ControllerTest, ActJournalDepthBoundedUnderRepeatedCommitCuts)
         words.push_back(inst.encode());
     }
     TileGrid grid(cfg_, lib_);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(words);
     Controller ctrl(grid, imem, energy_);
 
@@ -369,7 +369,7 @@ TEST_F(ControllerTest, RollbackPcReexecutesWindowAndConverges)
     // writes a row only later instructions read), so ordered replay
     // must converge to the uninterrupted result with extra commits.
     TileGrid grid(cfg_, lib_);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(simpleProgram());
     seedInputs(grid);
     Controller ctrl(grid, imem, energy_);
@@ -393,7 +393,7 @@ TEST_F(ControllerTest, RollbackPcReexecutesWindowAndConverges)
 TEST_F(ControllerTest, EnergyIncludesFetchAndBackup)
 {
     TileGrid grid(cfg_, lib_);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(simpleProgram());
     Controller ctrl(grid, imem, energy_);
 
@@ -408,7 +408,7 @@ TEST_F(ControllerTest, EnergyIncludesFetchAndBackup)
 TEST_F(ControllerTest, HaltedStaysHaltedAcrossRestart)
 {
     TileGrid grid(cfg_, lib_);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(simpleProgram());
     seedInputs(grid);
     Controller ctrl(grid, imem, energy_);

@@ -135,7 +135,7 @@ TEST(ButterflyOnArray, BitExactAgainstSoftware)
         seed_word(layout.wIm, cases[c].w.im, c);
     }
 
-    InstructionMemory imem(cfg);
+    InstructionMemory imem(cfg, lib);
     imem.load(prog.encode());
     EnergyModel energy(lib);
     Controller ctrl(grid, imem, energy);

@@ -620,7 +620,7 @@ TEST(SvmOnArray, SquaredDotMatchesSoftwareExactly)
         }
     }
 
-    InstructionMemory imem(cfg);
+    InstructionMemory imem(cfg, lib);
     imem.load(prog.encode());
     EnergyModel energy(lib);
     Controller ctrl(grid, imem, energy);

@@ -6,12 +6,16 @@
  * feasibility — and the solver/array honor the span contract.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "arch/tile.hh"
+#include "common/rng.hh"
 #include "device/network.hh"
 #include "compile/builder.hh"
 #include "logic/gate_library.hh"
+#include "sim/simulator.hh"
 
 namespace mouse
 {
@@ -195,6 +199,123 @@ TEST(Parasitics, LocalityDefaultsOnWithWires)
     KernelBuilder kb_wired(wired, cfg, 0, 0);
     EXPECT_FALSE(kb_ideal.placementLocality());
     EXPECT_TRUE(kb_wired.placementLocality());
+}
+
+namespace
+{
+
+/** Outcome of one run of a compiled program. */
+struct ProgramRun
+{
+    RunStats stats;
+    std::vector<Bit> state;
+};
+
+/** Run @p prog on a fresh grid over @p lib with random operands in
+ *  rows 0..15, continuous or harvested, on the word path or the
+ *  scalar oracle. */
+ProgramRun
+runProgram(const GateLibrary &lib, const ArrayConfig &cfg,
+           const Program &prog, bool harvested, bool scalar)
+{
+    TileGrid grid(cfg, lib);
+    Rng rng(5);
+    for (RowAddr r = 0; r < 16; ++r) {
+        for (ColAddr c = 0; c < cfg.tileCols; ++c) {
+            grid.tile(0).setBit(r, c, static_cast<Bit>(rng.below(2)));
+        }
+    }
+    InstructionMemory imem(cfg, lib);
+    imem.load(prog.encode());
+    const EnergyModel energy(lib);
+    Controller ctrl(grid, imem, energy);
+    Tile::setScalarOracle(scalar);
+    ProgramRun run;
+    if (harvested) {
+        HarvestConfig harvest;
+        harvest.source = SourceSpec::constant(10e-6);
+        harvest.capacitanceOverride = 2e-10; // outages mid-program
+        harvest.seed = 3;
+        run.stats = runHarvestedFunctional(ctrl, harvest);
+    } else {
+        run.stats = runContinuousFunctional(ctrl);
+    }
+    Tile::setScalarOracle(false);
+    run.state = grid.tile(0).snapshot();
+    return run;
+}
+
+void
+expectNear(double a, double b)
+{
+    EXPECT_NEAR(a, b,
+                1e-9 * std::max({std::fabs(a), std::fabs(b), 1e-30}));
+}
+
+} // namespace
+
+TEST(Parasitics, CompiledProgramMatchesScalarOracle)
+{
+    // 2 Ohm/cell keeps NAND2 feasible across the tile, and the
+    // program image resolves one span table per (gate, span).  A
+    // multiply-and-sum must leave the tile bit for bit as the
+    // per-column scalar model does, continuous and harvested, with
+    // the same counters; energies agree to the word path's fold
+    // order.
+    const GateLibrary lib(withParasitics(
+        makeDeviceConfig(TechConfig::ProjectedStt), 2.0));
+    ArrayConfig cfg;
+    cfg.tileRows = 256;
+    cfg.tileCols = 64;
+    cfg.numDataTiles = 1;
+    cfg.numInstructionTiles = 8;
+    KernelBuilder kb(lib, cfg, 0, 16);
+    kb.activate(0, 63);
+    const Word p =
+        kb.mulUnsigned(kb.pinnedWord(0, 4), kb.pinnedWord(8, 4));
+    kb.crossColumnSum(p, 4);
+    const Program prog = kb.finish();
+    ASSERT_GT(maxGateSpan(prog), 4u);
+    for (const bool harvested : {false, true}) {
+        const ProgramRun word =
+            runProgram(lib, cfg, prog, harvested, false);
+        const ProgramRun scalar =
+            runProgram(lib, cfg, prog, harvested, true);
+        EXPECT_EQ(word.state, scalar.state) << "harvested " << harvested;
+        const RunStats &a = word.stats;
+        const RunStats &b = scalar.stats;
+        EXPECT_EQ(a.instructionsCommitted, prog.size() - 1);
+        EXPECT_EQ(a.instructionsCommitted, b.instructionsCommitted);
+        EXPECT_EQ(a.instructionsDead, b.instructionsDead);
+        EXPECT_EQ(a.outages, b.outages);
+        EXPECT_EQ(harvested, a.outages > 0);
+        expectNear(a.computeEnergy, b.computeEnergy);
+        expectNear(a.deadEnergy, b.deadEnergy);
+        EXPECT_EQ(a.backupEnergy, b.backupEnergy);
+        EXPECT_EQ(a.restoreEnergy, b.restoreEnergy);
+        EXPECT_EQ(a.activeTime, b.activeTime);
+    }
+}
+
+TEST(Parasitics, WrongParityGatePanicsAtLoad)
+{
+    // Operand checks run once, when the image is decoded and
+    // resolved, with the message execution used to give: a program
+    // whose gate has an input on the output's bitline never starts.
+    const GateLibrary lib(withParasitics(
+        makeDeviceConfig(TechConfig::ProjectedStt), 2.0));
+    ArrayConfig cfg;
+    cfg.tileRows = 64;
+    cfg.tileCols = 4;
+    cfg.numDataTiles = 1;
+    const std::vector<std::uint64_t> words = {
+        Instruction::activateRange(0, 3).encode(),
+        Instruction::gate(GateType::kNand2, 0, 0, 3, 5).encode(),
+        Instruction::halt().encode(),
+    };
+    InstructionMemory imem(cfg, lib);
+    EXPECT_DEATH(imem.load(words),
+                 "logic inputs must have opposite parity to output");
 }
 
 TEST(Parasitics, UnusableWireConfigurationPanics)

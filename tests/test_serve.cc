@@ -14,6 +14,9 @@
  *     latency and energy) is too.
  */
 
+#include <atomic>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -316,6 +319,44 @@ TEST(Serve, StatsFoldByteIdenticallyAcrossWorkerCounts)
         EXPECT_EQ(a.simSeconds, b.simSeconds) << "request " << id;
         EXPECT_EQ(a.energy, b.energy) << "request " << id;
     }
+}
+
+/** A serial number per thread, never reused (unlike thread ids,
+ *  which a new thread may inherit from a joined one). */
+int
+threadSerial()
+{
+    static std::atomic<int> next{0};
+    thread_local const int serial = next.fetch_add(1);
+    return serial;
+}
+
+TEST(Serve, DrainsReuseOneParkedWorkerPool)
+{
+    // Every drain runs its engine tasks on the service's parked pool
+    // plus the calling thread, so ten drains of one 4-worker service
+    // see at most four threads.  Spawning threads per drain would
+    // show up to forty.
+    Rng modelRng(17);
+    InferenceService svc(smallConfig(4));
+    const ModelId bnn = svc.addModel(randomBnn(modelRng));
+    const ModelId svm = svc.addModel(randomSvm(modelRng));
+    std::set<int> threads;
+    svc.setProgress([&](std::size_t, std::size_t) {
+        threads.insert(threadSerial());
+    });
+    for (unsigned d = 0; d < 10; ++d) {
+        const Workload w = makeWorkload(svc, bnn, svm, 30, 100 + d);
+        for (std::size_t i = 0; i < w.models.size(); ++i) {
+            svc.submit(w.models[i], w.inputs[i]);
+        }
+        EXPECT_GE(svc.pendingRequests(), 30u);
+        svc.drain();
+        EXPECT_EQ(svc.pendingRequests(), 0u);
+    }
+    EXPECT_EQ(svc.completed(), 300u);
+    EXPECT_GE(threads.size(), 1u);
+    EXPECT_LE(threads.size(), 4u);
 }
 
 TEST(Serve, FlushCutsPartialBatchesAndCountsIdleSlots)

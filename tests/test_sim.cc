@@ -84,7 +84,7 @@ TEST_F(SimTest, ContinuousFunctionalComputesProducts)
     const Program prog = buildWorkload(product);
     TileGrid grid(cfg_, lib_);
     seed(grid);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(prog.encode());
     EnergyModel energy(lib_);
     Controller ctrl(grid, imem, energy);
@@ -112,7 +112,7 @@ TEST_F(SimTest, TraceMatchesFunctionalCyclesAndApproxEnergy)
     // Functional run.
     TileGrid grid(cfg_, lib_);
     seed(grid);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(prog.encode());
     EnergyModel energy(lib_);
     Controller ctrl(grid, imem, energy);
@@ -147,7 +147,7 @@ TEST_F(SimTest, HarvestedFunctionalMatchesContinuousResults)
         for (std::uint64_t seed_v : {1ull, 7ull, 99ull}) {
             TileGrid grid(cfg_, lib_);
             seed(grid);
-            InstructionMemory imem(cfg_);
+            InstructionMemory imem(cfg_, lib_);
             imem.load(prog.encode());
             Controller ctrl(grid, imem, energy);
 
@@ -240,7 +240,7 @@ TEST_F(SimTest, MoreOutagesAtLowerPowerAndDeadEnergyOrdering)
     for (Watts power : {1e-6, 60e-6}) {
         TileGrid grid(cfg_, lib_);
         seed(grid);
-        InstructionMemory imem(cfg_);
+        InstructionMemory imem(cfg_, lib_);
         imem.load(prog.encode());
         Controller ctrl(grid, imem, energy);
         HarvestConfig harvest;
@@ -268,7 +268,7 @@ TEST_F(SimTest, ZeroNonTerminationLimitAllowsBurstsThatCommit)
 
     TileGrid grid(cfg_, lib_);
     seed(grid);
-    InstructionMemory imem(cfg_);
+    InstructionMemory imem(cfg_, lib_);
     imem.load(prog.encode());
     Controller ctrl(grid, imem, energy);
     const RunStats functional = runHarvestedFunctional(ctrl, harvest);

@@ -279,7 +279,8 @@ TEST(InstructionMemoryTest, LoadFetchAndCapacity)
     cfg.tileRows = 16;
     cfg.tileCols = 16;
     cfg.numInstructionTiles = 1;
-    InstructionMemory imem(cfg);
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
+    InstructionMemory imem(cfg, lib);
     EXPECT_EQ(cfg.instructionCapacity(), 4u);  // 256 bits / 64
 
     imem.load({1, 2, 3});

@@ -9,6 +9,10 @@ a machine-independent check: the ratio between two benchmarks from
 the *same* run (e.g. word-parallel vs scalar-oracle gate execution),
 which cancels the host speed out.
 
+A report run with --benchmark_repetitions carries a `_median`
+aggregate per benchmark; every gate then reads the median instead of
+whichever repetition came last.
+
 A third, fully machine-independent check is the absolute floor: a
 benchmark whose items/sec must clear a fixed acceptance threshold
 (e.g. the serving bench's 1e5 classifications/sec target), checked
@@ -119,9 +123,17 @@ def load_items_per_second(path):
         fail_usage(f"'{path}' has no 'benchmarks' array (not a"
                    " google-benchmark JSON report)")
     out = {}
+    medians = {}
     for bench in doc["benchmarks"]:
-        if "items_per_second" in bench:
-            out[bench["name"]] = bench["items_per_second"]
+        if "items_per_second" not in bench:
+            continue
+        if bench.get("run_type") == "aggregate":
+            # Repeated runs: gate on the median of the repetitions.
+            if bench.get("aggregate_name") == "median":
+                medians[bench["run_name"]] = bench["items_per_second"]
+            continue
+        out[bench["name"]] = bench["items_per_second"]
+    out.update(medians)
     return out
 
 
